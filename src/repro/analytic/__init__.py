@@ -8,8 +8,7 @@ the NLP solvers (Nesterov, conjugate gradient).
 from .area import area_term
 from .bell import BellDensityGrid, bell_profile
 from .cg import CGResult, conjugate_gradient
-from .density import BatchedDensityGrid, DensityGrid, \
-    poisson_solve_dct, poisson_solve_dct_batch
+from .density import DensityGrid, poisson_solve_dct
 from .gradcheck import finite_difference_grad, max_grad_error
 from .lse import lse_wirelength
 from .nesterov import NesterovOptimizer, StepInfo
@@ -18,7 +17,6 @@ from .penalties import ConstraintPenalties
 from .wa import wa_wirelength
 
 __all__ = [
-    "BatchedDensityGrid",
     "BellDensityGrid",
     "CGResult",
     "ConstraintPenalties",
@@ -33,6 +31,5 @@ __all__ = [
     "lse_wirelength",
     "max_grad_error",
     "poisson_solve_dct",
-    "poisson_solve_dct_batch",
     "wa_wirelength",
 ]

@@ -20,62 +20,22 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 
-def _laplacian_denominator(
-    m: int, n: int, hx: float, hy: float
-) -> np.ndarray:
-    """DCT-II eigenvalue denominator of the discrete 5-point Laplacian.
-
-    The DC entry is pinned to 1.0 so callers can divide first and zero
-    the (undefined up to a constant) DC coefficient afterwards.
-    """
-    eig_x = (2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m)) / (hx * hx)
-    eig_y = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / (hy * hy)
-    denom = eig_x[:, None] + eig_y[None, :]
-    denom[0, 0] = 1.0  # DC mode: undefined up to a constant; pin to zero
-    return denom
-
-
-def poisson_solve_dct(
-    rho: np.ndarray, hx: float, hy: float,
-    denom: "np.ndarray | None" = None,
-) -> np.ndarray:
+def poisson_solve_dct(rho: np.ndarray, hx: float, hy: float) -> np.ndarray:
     """Solve ``laplacian(psi) = -rho`` with Neumann BCs on a regular grid.
 
     Uses DCT-II diagonalisation of the 5-point Laplacian, so the result
     is the exact solution of the discretised system (up to an additive
-    constant, fixed by zeroing the DC term).  ``denom`` may carry a
-    precomputed :func:`_laplacian_denominator` (nonzero by
-    construction: the DC mode is pinned to 1.0) to skip rebuilding it
-    on every solve.
+    constant, fixed by zeroing the DC term).
     """
     m, n = rho.shape
-    if denom is None:
-        denom = _laplacian_denominator(m, n, hx, hy)
     coeff = dctn(rho, type=2)
+    eig_x = (2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m)) / (hx * hx)
+    eig_y = (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n)) / (hy * hy)
+    denom = eig_x[:, None] + eig_y[None, :]
+    denom[0, 0] = 1.0  # DC mode: undefined up to a constant; pin to zero
     coeff = coeff / denom
     coeff[0, 0] = 0.0
     return idctn(coeff, type=2)
-
-
-def poisson_solve_dct_batch(
-    rho: np.ndarray, hx: float, hy: float,
-    denom: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Batched :func:`poisson_solve_dct` over a ``(B, m, n)`` stack.
-
-    One ``dctn``/``idctn`` call transforms every instance (the 1-D
-    line transforms are independent, so each slice's solution matches
-    the single-instance solver); ``denom`` may carry a precomputed
-    :func:`_laplacian_denominator` to keep the per-iteration cost to
-    the transforms themselves.
-    """
-    _, m, n = rho.shape
-    if denom is None:
-        denom = _laplacian_denominator(m, n, hx, hy)
-    coeff = dctn(rho, type=2, axes=(1, 2))
-    coeff = coeff / denom
-    coeff[:, 0, 0] = 0.0
-    return idctn(coeff, type=2, axes=(1, 2))
 
 
 class DensityGrid:
@@ -294,162 +254,3 @@ class DensityGrid:
             excess.sum() * self.bin_area
             / max(float(self.areas.sum()), 1e-30)
         )
-
-
-class BatchedDensityGrid:
-    """Batched eDensity kernels over B same-grid placement instances.
-
-    Wraps one :class:`DensityGrid` (one device set, one region, one
-    bin resolution) and evaluates B placement instances of it at once:
-    bin tensors are stacked into ``(B, bins, bins)`` arrays so every
-    iteration runs *one* DCT/IDCT Poisson solve and one overlap-matrix
-    matmul pass for the whole batch, instead of B independent spectral
-    solves redoing identical transform plans.
-
-    Numerics contract: each instance's result agrees with
-    :meth:`DensityGrid.energy_and_grad_loop` — the retained reference
-    spec — to 1e-10 (the agreement tests pin this).  The per-axis
-    overlap weights are computed by the exact expressions of
-    :meth:`DensityGrid._overlap_matrices` broadcast over the batch
-    axis, and the batched DCT transforms each slice's independent 1-D
-    lines, so gradients are bit-identical to the single-instance
-    vectorised kernel in practice; only summation order in the scalar
-    energy reduction may differ at round-off level.
-
-    Positions arrive as ``(B, n)`` arrays; results are stacked along
-    the leading batch axis.  ``B = 1`` degenerates to the
-    single-instance kernels (useful for lockstep drivers that shrink
-    the batch as instances converge).
-    """
-
-    def __init__(self, grid: DensityGrid) -> None:
-        self.grid = grid
-        #: cached Laplacian eigenvalue denominator (grid-constant)
-        self._denom = _laplacian_denominator(
-            grid.bins, grid.bins, grid.hx, grid.hy
-        )
-        target = grid.areas.sum() / (grid.region_w * grid.region_h)
-        self._target = max(float(target), 1.0)
-        self._total_area = max(float(grid.areas.sum()), 1e-30)
-
-    # ------------------------------------------------------------------
-    def _check_batch(self, xs: np.ndarray, ys: np.ndarray) -> None:
-        if xs.shape != ys.shape or xs.ndim != 2:
-            raise ValueError(
-                f"batched positions must be matching (B, n) arrays, "
-                f"got {xs.shape} and {ys.shape}"
-            )
-        if xs.shape[1] != len(self.grid.widths):
-            raise ValueError(
-                f"positions have {xs.shape[1]} devices, grid has "
-                f"{len(self.grid.widths)}"
-            )
-
-    def overlap_matrices(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-axis bin overlaps for all instances: ``(B, n, bins)``.
-
-        Row ``[b, i]`` equals :meth:`DensityGrid._overlap_matrices`'s
-        row ``i`` at instance ``b``'s positions — the same clamp,
-        clip and full-area rescale expressions broadcast over the
-        batch axis.
-        """
-        grid = self.grid
-        half_w, half_h = grid.widths / 2, grid.heights / 2
-        xlo = np.clip(xs - half_w, 0.0, grid.region_w - 1e-12)
-        xhi = np.clip(xs + half_w, xlo + 1e-12, grid.region_w)
-        ylo = np.clip(ys - half_h, 0.0, grid.region_h - 1e-12)
-        yhi = np.clip(ys + half_h, ylo + 1e-12, grid.region_h)
-
-        ex, ey = grid.edges_x, grid.edges_y
-        ov_x = np.clip(
-            np.minimum(xhi[..., None], ex[None, None, 1:])
-            - np.maximum(xlo[..., None], ex[None, None, :-1]),
-            0.0, None,
-        )
-        ov_y = np.clip(
-            np.minimum(yhi[..., None], ey[None, None, 1:])
-            - np.maximum(ylo[..., None], ey[None, None, :-1]),
-            0.0, None,
-        )
-        # rescale so clamped footprints still deposit the full area
-        sum_x = ov_x.sum(axis=2)
-        sum_y = ov_y.sum(axis=2)
-        ov_x *= np.where(
-            sum_x > 0, grid.widths / np.where(sum_x > 0, sum_x, 1.0),
-            1.0,
-        )[..., None]
-        ov_y *= np.where(
-            sum_y > 0, grid.heights / np.where(sum_y > 0, sum_y, 1.0),
-            1.0,
-        )[..., None]
-        return ov_x, ov_y
-
-    def rasterize(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Charge grids for all instances: one ``(B, bins, bins)`` stack.
-
-        The per-instance matmul is the same contraction
-        :meth:`DensityGrid.rasterize` performs; looping the B GEMMs
-        into a preallocated output measures faster than one strided
-        batch-matmul at placement-sized operands.
-        """
-        self._check_batch(xs, ys)
-        ov_x, ov_y = self.overlap_matrices(xs, ys)
-        return self._rasterize_from(ov_x, ov_y)
-
-    def _rasterize_from(
-        self, ov_x: np.ndarray, ov_y: np.ndarray
-    ) -> np.ndarray:
-        bins = self.grid.bins
-        charge = np.empty((ov_x.shape[0], bins, bins))
-        for b in range(ov_x.shape[0]):
-            np.matmul(ov_x[b].T, ov_y[b], out=charge[b])
-        return charge
-
-    # ------------------------------------------------------------------
-    def energy_and_grad(
-        self, xs: np.ndarray, ys: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Batched potential energy, gradients and density overflow.
-
-        Returns ``(energy, grad_x, grad_y, overflow)`` with shapes
-        ``(B,)``, ``(B, n)``, ``(B, n)``, ``(B,)`` — instance ``b``'s
-        entries match :meth:`DensityGrid.energy_and_grad` at
-        ``(xs[b], ys[b])`` (and therefore the loop reference spec to
-        1e-10).  The whole batch shares one spectral solve and one
-        field-sampling matmul pass.
-        """
-        self._check_batch(xs, ys)
-        grid = self.grid
-        ov_x, ov_y = self.overlap_matrices(xs, ys)
-        charge = self._rasterize_from(ov_x, ov_y)
-        rho = charge / grid.bin_area
-        rho_neutral = rho - rho.mean(axis=(1, 2), keepdims=True)
-        psi = poisson_solve_dct_batch(
-            rho_neutral, grid.hx, grid.hy, denom=self._denom
-        )
-        dpsi_dx, dpsi_dy = np.gradient(
-            psi, grid.hx, grid.hy, axis=(1, 2)
-        )
-
-        totals = ov_x.sum(axis=2) * ov_y.sum(axis=2)
-        safe = np.where(totals > 0, totals, 1.0)
-        scale = np.where(totals > 0, grid.areas / safe, 0.0)
-        psi_i = (np.matmul(ov_x, psi) * ov_y).sum(axis=2)
-        grad_x = scale * (np.matmul(ov_x, dpsi_dx) * ov_y).sum(axis=2)
-        grad_y = scale * (np.matmul(ov_x, dpsi_dy) * ov_y).sum(axis=2)
-
-        # scalar reductions per instance use the single-instance
-        # kernel's exact ops (np.dot / full-slice sum) so a lockstep
-        # batch diverges from a sequential run as little as possible
-        batch = xs.shape[0]
-        energy = np.empty(batch)
-        overflow = np.empty(batch)
-        excess = np.clip(rho - self._target, 0.0, None)
-        for b in range(batch):
-            energy[b] = 0.5 * float(np.dot(scale[b], psi_i[b]))
-            overflow[b] = float(
-                excess[b].sum() * grid.bin_area / self._total_area
-            )
-        return energy, grad_x, grad_y, overflow

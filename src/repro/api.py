@@ -26,8 +26,7 @@ from dataclasses import replace
 from typing import Any, Sequence
 
 from .annealing import SAParams, anneal_place
-from .eplace import EPlaceParams, batch_params, eplace_global, \
-    eplace_global_batch
+from .eplace import EPlaceParams, eplace_global
 from .legalize import DetailedParams, detailed_place, \
     lp_two_stage_detailed_placement
 from .netlist import Circuit
@@ -176,116 +175,12 @@ def _expected_progress_iterations(
     )
 
 
-def _batch_flow_result(
-    gp: PlacerResult, dp_params: "DetailedParams | None",
-) -> PlacerResult:
-    """Finish one batched-GP seed: detailed placement + flow result.
-
-    Mirrors :func:`place_eplace_a`'s result shape; ``gp_runtime_s``
-    is the whole batch's shared wall time (lockstep instances are not
-    separable), and the per-seed trace carries the GP convergence
-    records (DP spans land on the caller's ambient tracer).
-    """
-    dp = detailed_place(gp.placement, dp_params)
-    metrics.counter("repro.placements").inc()
-    result = PlacerResult(
-        placement=dp.placement,
-        runtime_s=gp.runtime_s + dp.runtime_s,
-        method="eplace-a",
-        stats={"gp": gp.stats, "dp": dp.stats,
-               "gp_runtime_s": gp.runtime_s, "dp_runtime_s": dp.runtime_s},
-        trace=gp.trace,
-    )
-    diagnose.attach(result)
-    return result
-
-
-def _place_multiseed_batch(
-    circuit: Circuit,
-    method: str,
-    seeds: "Sequence[int]",
-    racing: "RacingParams | None",
-    kwargs: "dict[str, Any]",
-) -> "list[PlacerResult] | RaceResult":
-    """Lockstep-batched :func:`place_multiseed` (eplace-a only).
-
-    All seeds' global placements advance together through shared
-    spectral solves (:func:`repro.eplace.eplace_global_batch`) in this
-    process; the deterministic detailed stage then runs per seed.
-    """
-    if method != "eplace-a":
-        raise ValueError(
-            "batch=True needs method='eplace-a' (the lockstep driver "
-            f"batches the eDensity solve), got {method!r}"
-        )
-    unknown = set(kwargs) - {"gp_params", "dp_params"}
-    if unknown:
-        raise TypeError(
-            f"unexpected kwargs for batched eplace-a: {sorted(unknown)}"
-        )
-    gp_base = kwargs.get("gp_params") or EPlaceParams(
-        utilization=0.8, eta=0.3)
-    dp_params = kwargs.get("dp_params")
-    params_list = batch_params(gp_base, seeds)
-    tracer = trace.current()
-    traced = tracer.enabled
-
-    if racing is None and not live.active():
-        gp_results = eplace_global_batch(circuit, params_list)
-        out = []
-        for gp in gp_results:
-            assert isinstance(gp, PlacerResult)
-            result = _batch_flow_result(gp, dp_params)
-            if traced:
-                tracer.absorb(result.trace)
-            out.append(result)
-        return out
-
-    bus = live.current() or live.EventBus()
-    controller: "RaceController | None" = None
-    handle_ready = None
-    if racing is not None:
-        expected = racing.expected_iterations or \
-            _expected_progress_iterations(method, kwargs)
-        controller = RaceController(racing, seeds, expected)
-        controller.attach(bus)
-        handle_ready = controller.bind
-    try:
-        raw = eplace_global_batch(
-            circuit, params_list, bus=bus, handle_ready=handle_ready,
-        )
-        results: "list[PlacerResult | None]" = []
-        for item in raw:
-            if isinstance(item, CancelledTask):
-                results.append(None)
-                continue
-            result = _batch_flow_result(item, dp_params)
-            if traced:
-                tracer.absorb(result.trace)
-            results.append(result)
-        if controller is None:
-            return results
-        controller.finalize()
-        return RaceResult(
-            seeds=list(seeds),
-            results=results,
-            kills=controller.kills,
-            metric=controller.metric or "",
-            progress_events=controller.progress_events,
-            winner_index=controller.winner_index(),
-        )
-    finally:
-        if controller is not None:
-            controller.detach()
-
-
 def place_multiseed(
     circuit: Circuit,
     method: str = "annealing",
     seeds: "Sequence[int]" = (1, 2, 3),
     jobs: int = 1,
     racing: "RacingParams | None" = None,
-    batch: bool = False,
     **kwargs: Any,
 ) -> "list[PlacerResult] | RaceResult":
     """Run :func:`place` once per seed; results come back in seed order.
@@ -315,18 +210,7 @@ def place_multiseed(
     :class:`~repro.obs.racing.RaceResult` whose ``results`` list holds
     ``None`` for seeds whose kill landed; ``winner`` is deterministic
     across job counts.
-
-    Batch mode: ``batch=True`` (eplace-a only) runs every seed's
-    global placement in lockstep through shared batched spectral
-    solves in *this* process (``jobs`` is ignored) — see
-    :mod:`repro.eplace.batch` for the exact-semantics contract.  Live
-    streaming and racing work identically; the detailed stage still
-    runs per seed.
     """
-    if batch:
-        return _place_multiseed_batch(
-            circuit, method, seeds, racing, kwargs
-        )
     tracer = trace.current()
     traced = tracer.enabled
     payloads = [

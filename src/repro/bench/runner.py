@@ -32,7 +32,7 @@ from ..obs import diagnose, env, memory, tracing
 from ..obs.log import get_logger
 from ..obs.trace import Trace
 from ..parallel import parallel_map
-from ..placement import Placement, PlacerResult
+from ..placement import PlacerResult
 from ..xu_ispd19 import XuParams
 from .artifact import SCHEMA, artifact_filename, save_artifact, \
     validate_artifact
@@ -247,90 +247,6 @@ def _execute_eplace_ap(
     return result, trace
 
 
-def _execute_density(
-    case: CaseSpec, overrides: dict[str, Any],
-) -> tuple[PlacerResult, Trace]:
-    """Time the eDensity kernel workload itself — no wirelength terms.
-
-    ``case.seed`` is the **batch width** B, not an RNG seed: the
-    ``density-scale`` suite's seed axis sweeps batch sizes.  The
-    measured work is ``iters`` rounds of density energy/gradient
-    evaluation over B fixed position sets: ``kernel="batched"``
-    performs one :class:`BatchedDensityGrid` call per round (the whole
-    batch shares a single spectral solve and field-sampling matmul
-    pass), ``kernel="sequential"`` performs B per-instance
-    :class:`DensityGrid` calls.  Positions derive from fixed per-
-    instance seeds and never depend on the kernel, so the wrapped
-    placement — and with it every hpwl/area/overlap metric — is
-    byte-identical across before/after artifacts; only ``runtime_s``
-    carries signal.  ``stats`` records the summed energy/overflow over
-    the final round as a cross-kernel agreement checksum.
-    """
-    import numpy as np
-
-    from ..analytic import BatchedDensityGrid, DensityGrid
-    from ..obs.trace import Stopwatch
-
-    opts = dict(overrides)
-    iters = int(opts.pop("iters", 200))
-    bins = int(opts.pop("bins", 32))
-    utilization = float(opts.pop("utilization", 0.8))
-    kernel = str(opts.pop("kernel", "batched"))
-    if kernel not in ("batched", "sequential"):
-        raise ValueError(
-            f"density kernel must be 'batched' or 'sequential', "
-            f"got {kernel!r}"
-        )
-    if opts:
-        raise ValueError(f"unknown density overrides: {sorted(opts)}")
-    batch = int(case.seed)
-    if batch < 1:
-        raise ValueError(
-            "density engine: the case seed is the batch width and "
-            f"must be >= 1, got {batch}"
-        )
-    circuit = make(case.circuit)
-    widths, heights = circuit.sizes()
-    side = float(np.sqrt(circuit.total_device_area() / utilization))
-    grid = DensityGrid(widths, heights, side, side, bins=bins)
-    n = circuit.num_devices
-    xs = np.empty((batch, n))
-    ys = np.empty((batch, n))
-    for b in range(batch):
-        rng = np.random.default_rng(1000 + b)
-        xs[b] = rng.uniform(0.0, side, n)
-        ys[b] = rng.uniform(0.0, side, n)
-    with tracing() as tracer:
-        clock = Stopwatch()
-        if kernel == "batched":
-            batched = BatchedDensityGrid(grid)
-            for _ in range(iters):
-                energy, _gx, _gy, overflow = \
-                    batched.energy_and_grad(xs, ys)
-            energy_sum = float(energy.sum())
-            overflow_sum = float(overflow.sum())
-        else:
-            energy_sum = overflow_sum = 0.0
-            for _ in range(iters):
-                energy_sum = overflow_sum = 0.0
-                for b in range(batch):
-                    e, _gx, _gy, ov = grid.energy_and_grad(
-                        xs[b], ys[b])
-                    energy_sum += float(e)
-                    overflow_sum += float(ov)
-        runtime = clock.elapsed()
-    result = PlacerResult(
-        placement=Placement(circuit, xs[0], ys[0]),
-        runtime_s=runtime,
-        method="density",
-        stats={"kernel": kernel, "batch": batch, "iters": iters,
-               "bins": bins, "energy": energy_sum,
-               "overflow": overflow_sum},
-        trace=tracer.to_trace(),
-    )
-    return result, result.trace
-
-
 def _execute(
     case: CaseSpec, overrides: dict[str, Any],
 ) -> tuple[PlacerResult, Trace]:
@@ -339,8 +255,6 @@ def _execute(
         return _execute_gnn_train(case, overrides)
     if case.engine == "eplace-ap":
         return _execute_eplace_ap(case, overrides)
-    if case.engine == "density":
-        return _execute_density(case, overrides)
     circuit = make(case.circuit)
     kwargs = build_kwargs(case.engine, case.seed, overrides)
     with tracing() as tracer:

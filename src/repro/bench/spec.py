@@ -16,10 +16,6 @@ Built-in suites:
 * ``gnnsmoke`` — the performance layer: GNN model training
   (``gnn-train``) and one full ePlace-AP placement (``eplace-ap``) on
   two small circuits; gates the batched-kernel hot paths.
-* ``density-scale`` — the batched eDensity kernels: devices (three
-  circuit sizes) × batch widths (the ``seeds`` axis is reinterpreted
-  as the batch size B); evidence suite for the multi-circuit batching
-  speedup.  ``density-quick`` is its trimmed nightly-CI variant.
 * ``paper`` — all three conventional engines × all ten testcases ×
   three seeds at full budgets (Table III scale; not for CI).
 
@@ -40,16 +36,14 @@ from typing import Any, Callable
 from ..api import METHODS
 from ..circuits import PAPER_TESTCASES
 
-#: engines a suite may reference: the three placement methods plus
+#: engines a suite may reference: the three placement methods plus two
 #: performance-layer pseudo-engines — ``gnn-train`` times one
-#: ``PerformanceModel.train`` run on a per-process cached dataset,
+#: ``PerformanceModel.train`` run on a per-process cached dataset, and
 #: ``eplace-ap`` times the full performance-driven ePlace-AP flow with
 #: a per-process cached trained model (so the measurement isolates
-#: placement, not model training), and ``density`` times the eDensity
-#: kernel workload itself, with the case *seed* reinterpreted as the
-#: batch width (see :func:`repro.bench.runner._execute_density`)
+#: placement, not model training)
 BENCH_ENGINES: tuple[str, ...] = tuple(METHODS) + (
-    "gnn-train", "eplace-ap", "density",
+    "gnn-train", "eplace-ap",
 )
 
 
@@ -199,37 +193,6 @@ def _gnnsmoke() -> SuiteSpec:
     )
 
 
-def _density_scale() -> SuiteSpec:
-    # seeds axis = batch width B; circuits span the device-count range
-    # (Adder 9, VCO1 19, SCF 32 devices)
-    return SuiteSpec(
-        name="density-scale",
-        engines=["density"],
-        circuits=["Adder", "VCO1", "SCF"],
-        seeds=[1, 2, 4, 8],
-        repeats=3,
-        warmup=1,
-        params={
-            "density": {"iters": 200, "bins": 32, "kernel": "batched"},
-        },
-    )
-
-
-def _density_quick() -> SuiteSpec:
-    # nightly-CI variant: same axes idea, trimmed budget
-    return SuiteSpec(
-        name="density-quick",
-        engines=["density"],
-        circuits=["Adder", "SCF"],
-        seeds=[1, 4],
-        repeats=2,
-        warmup=1,
-        params={
-            "density": {"iters": 80, "bins": 32, "kernel": "batched"},
-        },
-    )
-
-
 def _paper() -> SuiteSpec:
     return SuiteSpec(
         name="paper",
@@ -246,8 +209,6 @@ BUILTIN_SUITES: dict[str, Callable[[], SuiteSpec]] = {
     "smoke": _smoke,
     "quick": _quick,
     "gnnsmoke": _gnnsmoke,
-    "density-scale": _density_scale,
-    "density-quick": _density_quick,
     "paper": _paper,
 }
 

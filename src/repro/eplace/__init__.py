@@ -1,6 +1,5 @@
 """ePlace-A global placement (the paper's new analytical technique)."""
 
-from .batch import batch_params, eplace_global_batch
 from .global_place import EPlaceGlobalPlacer, eplace_global
 from .hard_symmetry import HardSymmetryMap
 from .params import EPlaceParams
@@ -9,7 +8,5 @@ __all__ = [
     "EPlaceGlobalPlacer",
     "EPlaceParams",
     "HardSymmetryMap",
-    "batch_params",
     "eplace_global",
-    "eplace_global_batch",
 ]

@@ -98,27 +98,6 @@ class EPlaceGlobalPlacer:
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
         """Full objective terms and gradient in device-coordinate space."""
-        with trace.timer("eplace.gp.density"):
-            den = self.density.energy_and_grad(x, y)
-        return self._objective_with_density(x, y, den)
-
-    def _objective_with_density(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        den: tuple[float, np.ndarray, np.ndarray, float],
-    ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Objective terms around a precomputed density evaluation.
-
-        ``den`` is :meth:`DensityGrid.energy_and_grad`'s result at
-        ``(x, y)`` — the split lets the lockstep batch driver
-        (:mod:`repro.eplace.batch`) evaluate the density term for all
-        instances in one shared spectral solve and feed each
-        instance's slice through the identical remaining terms.  Note
-        the WA ``gamma`` reads ``self._overflow`` from the *previous*
-        evaluation (annealing), so the density result must always come
-        from the positions passed here.
-        """
         p = self.params
         gamma = self._gamma()
         observing = trace.active() or live.active()
@@ -127,7 +106,9 @@ class EPlaceGlobalPlacer:
         value = value_w
         wl_gnorm = _grad_norm(gx, gy) if observing else 0.0
 
-        value_n, dgx, dgy, overflow = den
+        with trace.timer("eplace.gp.density"):
+            value_n, dgx, dgy, overflow = \
+                self.density.energy_and_grad(x, y)
         self._overflow = overflow
         value += self._lambda * value_n
         gx = gx + self._lambda * dgx

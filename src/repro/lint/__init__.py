@@ -27,11 +27,7 @@ Rule families (ids are stable; see ``--list-rules`` for summaries):
   forks reachable while a sampler/thread is live or a module-level
   lock is held (RPR402), unsynchronized shared-state writes in thread
   targets (RPR403), lock-acquisition-order cycles across the call
-  graph (RPR404);
-* ``RPR5xx`` shared-memory confinement — direct ``SharedMemory(...)``
-  construction outside ``repro.parallel`` (RPR501): every named
-  segment must go through the leak-swept ``shm_dumps``/``shm_loads``
-  transport.
+  graph (RPR404).
 
 The whole-program rules are built on :mod:`repro.lint.graph` — a
 cross-module symbol table and call graph with conservative fallback

@@ -18,11 +18,6 @@ keep that mix deterministic and deadlock-free:
   nested ``with``-lock regions across the call graph: two threads
   taking the same pair of locks in opposite orders is a deadlock
   waiting for the right interleaving.
-* **RPR501** — direct ``SharedMemory(...)`` construction outside
-  ``repro.parallel``: named segments created elsewhere escape the
-  descriptor protocol, the resource-tracker ownership transfer and
-  the leak sweeper that make the shm result transport safe
-  (PERFORMANCE.md "Shared-memory result transport").
 
 The sanctioned fork guard is ``with live.suspend_samplers():`` — the
 extractor marks fork primitives lexically inside it as guarded, which
@@ -118,40 +113,6 @@ class BareAcquireRule(Rule):
                 "bare acquire() on a lock: an exception before "
                 "release() deadlocks every later acquirer; use "
                 "'with lock:' (or try/finally with release())",
-            )
-
-
-@register
-class ShmConfinementRule(Rule):
-    """RPR501: ``SharedMemory(...)`` outside ``repro.parallel``."""
-
-    id = "RPR501"
-    name = "shm-outside-parallel"
-    summary = (
-        "multiprocessing SharedMemory segments must be created and "
-        "attached through repro.parallel (shm_dumps/shm_loads); a "
-        "direct SharedMemory(...) elsewhere escapes the leak-swept "
-        "segment lifecycle"
-    )
-    scopes = ("repro/",)
-    excludes = ("repro/parallel.py",)
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = module.call_name(node)
-            if dotted is None:
-                continue
-            if dotted.rsplit(".", 1)[-1] != "SharedMemory":
-                continue
-            yield self.finding(
-                module, node,
-                "direct SharedMemory(...) outside repro.parallel: "
-                "segments made here bypass the descriptor protocol, "
-                "the resource-tracker ownership transfer and the "
-                "leak sweeper; route the payload through "
-                "repro.parallel (shm_dumps/shm_loads)",
             )
 
 

@@ -136,7 +136,11 @@ class Circuit:
                         f"net {net.name!r} references unknown device "
                         f"{term.device!r}"
                     )
-                self.devices[term.device].pin(term.pin)  # raises KeyError
+                if term.pin not in self.devices[term.device].pins:
+                    raise CircuitError(
+                        f"net {net.name!r} references unknown pin "
+                        f"{term.pin!r} of device {term.device!r}"
+                    )
         unknown = self.constraints.constrained_devices() - set(self.devices)
         if unknown:
             raise CircuitError(
@@ -145,6 +149,11 @@ class Circuit:
         for group in self.constraints.symmetry_groups:
             for a, b in group.pairs:
                 da, db = self.devices[a], self.devices[b]
+                if da.dtype != db.dtype:
+                    raise CircuitError(
+                        f"symmetry pair ({a!r}, {b!r}) mixes device types "
+                        f"{da.dtype.value} and {db.dtype.value}"
+                    )
                 if (da.width, da.height) != (db.width, db.height):
                     raise CircuitError(
                         f"symmetry pair ({a!r}, {b!r}) has mismatched "

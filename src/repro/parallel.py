@@ -44,20 +44,14 @@ with.
 
 from __future__ import annotations
 
-import io
-import itertools
 import multiprocessing
 import os
-import pickle
 import queue as queue_mod
 import threading
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import Any, Callable, Sequence, TypeVar
-
-import numpy as np
 
 from . import sanitize
 from .obs import live
@@ -67,220 +61,6 @@ logger = get_logger("parallel")
 
 _T = TypeVar("_T")
 _R = TypeVar("_R")
-
-
-# ---------------------------------------------------------------------------
-# shared-memory array transport
-#
-# Large ndarray payloads (placements, traces, bin tensors) cross the
-# worker->parent boundary through named POSIX shared-memory segments
-# instead of being pickled through a pipe: the worker writes each big
-# array into a segment and the pickle channel carries only a
-# descriptor (name, shape, dtype).  One write + one read replaces
-# pickle-serialise + two pipe copies + deserialise.  Everything below
-# the size threshold keeps the plain pickle path — segment setup costs
-# more than piping a small array.
-#
-# Lifecycle contract: the *creating* process unregisters the segment
-# from its own resource tracker (ownership transfers with the
-# descriptor); the *receiving* process copies the data out and unlinks
-# during unpickling.  Failure paths (worker death, cancellation races,
-# parent-side errors) are covered by draining the channel and sweeping
-# the per-worker name prefix — segment names are deterministic
-# (pid + counter, never random) precisely so the parent can enumerate
-# a dead worker's leftovers.
-
-#: arrays below this many bytes ride the ordinary pickle channel
-SHM_THRESHOLD_BYTES = 64 * 1024
-
-#: prefix of every segment this library creates (swept on failure)
-_SHM_PREFIX = "repro-shm-"
-
-#: open SharedMemory handles in this process; must be empty at fork
-#: (the sanitizer's fork check probes this via register_fork_check)
-_OPEN_HANDLES: "set[str]" = set()
-
-_SHM_COUNTER = itertools.count()
-
-
-def _shm_name() -> str:
-    """Deterministic segment name: creator pid + per-process counter."""
-    return f"{_SHM_PREFIX}{os.getpid()}-{next(_SHM_COUNTER)}"
-
-
-@dataclass(frozen=True)
-class ShmBlob:
-    """A pickled payload whose large arrays live in named segments.
-
-    ``data`` is the pickle stream (small: descriptors in place of
-    array bodies); ``segments`` names every segment the payload
-    references, so failure paths can discard a blob without loading
-    it.  Produced by :func:`shm_dumps`, consumed by :func:`shm_loads`.
-    """
-
-    data: bytes
-    segments: "tuple[str, ...]"
-
-
-class _ShmPickler(pickle.Pickler):
-    """Pickler hoisting big ndarrays into shared-memory segments."""
-
-    def __init__(self, buffer: "io.BytesIO", threshold: int) -> None:
-        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self.threshold = int(threshold)
-        self.segments: "list[str]" = []
-
-    def reducer_override(self, obj: Any) -> Any:
-        if (
-            type(obj) is np.ndarray
-            and not obj.dtype.hasobject
-            and obj.nbytes >= self.threshold
-            and obj.nbytes > 0
-        ):
-            order = (
-                "F" if obj.flags.f_contiguous
-                and not obj.flags.c_contiguous else "C"
-            )
-            name = _create_segment(obj, order)
-            self.segments.append(name)
-            return (
-                _restore_array,
-                (name, obj.shape, obj.dtype.str, order),
-            )
-        return NotImplemented
-
-
-def _create_segment(array: np.ndarray, order: str) -> str:
-    """Write ``array`` into a fresh segment; returns its name.
-
-    The segment is immediately unregistered from this process's
-    resource tracker: ownership rides with the descriptor, and the
-    receiver (usually the parent process) unlinks after reading.
-    """
-    name = _shm_name()
-    seg = shared_memory.SharedMemory(
-        name=name, create=True, size=array.nbytes
-    )
-    _OPEN_HANDLES.add(name)
-    try:
-        view = np.ndarray(
-            array.shape, dtype=array.dtype, buffer=seg.buf, order=order
-        )
-        view[...] = array
-    finally:
-        seg.close()
-        _OPEN_HANDLES.discard(name)
-    resource_tracker.unregister(seg._name, "shared_memory")
-    return name
-
-
-def _restore_array(
-    name: str, shape: "tuple[int, ...]", dtype: str, order: str
-) -> np.ndarray:
-    """Copy an array out of its segment and unlink it (receiver side)."""
-    seg = shared_memory.SharedMemory(name=name)
-    _OPEN_HANDLES.add(name)
-    try:
-        view = np.ndarray(shape, dtype=dtype, buffer=seg.buf, order=order)
-        array = view.copy(order=order)
-    finally:
-        seg.close()
-        _OPEN_HANDLES.discard(name)
-        seg.unlink()
-    return array
-
-
-def shm_dumps(obj: Any, threshold: int = SHM_THRESHOLD_BYTES) -> ShmBlob:
-    """Pickle ``obj`` with arrays >= ``threshold`` bytes hoisted to shm.
-
-    On any serialisation error the already-created segments are
-    unlinked before the exception propagates — a failed dump leaks
-    nothing.
-    """
-    buffer = io.BytesIO()
-    pickler = _ShmPickler(buffer, threshold)
-    try:
-        pickler.dump(obj)
-    except BaseException:
-        for name in pickler.segments:
-            discard_segment(name)
-        raise
-    return ShmBlob(buffer.getvalue(), tuple(pickler.segments))
-
-
-def shm_loads(blob: ShmBlob) -> Any:
-    """Inverse of :func:`shm_dumps`; unlinks the blob's segments."""
-    return pickle.loads(blob.data)
-
-
-def discard_segment(name: str) -> None:
-    """Unlink a segment without reading it (failure-path cleanup)."""
-    try:
-        seg = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return
-    seg.close()
-    try:
-        seg.unlink()
-    except FileNotFoundError:
-        pass
-
-
-def discard_blob(payload: Any) -> None:
-    """Release a blob's segments without materialising its payload."""
-    if isinstance(payload, ShmBlob):
-        for name in payload.segments:
-            discard_segment(name)
-
-
-def shm_segments(pid: "int | None" = None) -> "list[str]":
-    """Live repro segment names on this host — the leak registry.
-
-    ``pid`` narrows to segments created by one process.  Tests assert
-    this is unchanged across a fan-out; failure paths sweep it.
-    """
-    prefix = _SHM_PREFIX if pid is None else f"{_SHM_PREFIX}{pid}-"
-    try:
-        entries = os.listdir("/dev/shm")
-    except OSError:
-        return []
-    return sorted(e for e in entries if e.startswith(prefix))
-
-
-def _sweep_worker_segments(pids: "Sequence[int]") -> None:
-    """Unlink every segment left behind by the given (dead) workers."""
-    for pid in pids:
-        for name in shm_segments(pid):
-            logger.warning(
-                "discarding leaked shared-memory segment %s", name
-            )
-            discard_segment(name)
-
-
-def _shm_fork_hazard() -> "str | None":
-    """Fork-time probe: no segment handle may be open across a fork."""
-    if _OPEN_HANDLES:
-        return (
-            "fork attempted with open shared-memory handle(s): "
-            + ", ".join(sorted(_OPEN_HANDLES))
-            + "; a forked child would inherit mappings it never "
-            "closes — finish the transfer before forking"
-        )
-    return None
-
-
-sanitize.register_fork_check(_shm_fork_hazard)
-
-
-@dataclass(frozen=True)
-class _ShmTask:
-    """Picklable wrapper running ``fn`` and shm-encoding its result."""
-
-    fn: "Callable[[Any], Any]"
-    threshold: int
-
-    def __call__(self, item: Any) -> ShmBlob:
-        return shm_dumps(self.fn(item), self.threshold)
 
 
 def normalize_jobs(jobs: "int | None") -> int:
@@ -300,8 +80,6 @@ def parallel_map(
     fn: "Callable[[_T], _R]",
     items: "Sequence[_T]",
     jobs: "int | None" = 1,
-    shm: bool = True,
-    shm_threshold: int = SHM_THRESHOLD_BYTES,
 ) -> "list[_R]":
     """Map ``fn`` over ``items`` with up to ``jobs`` worker processes.
 
@@ -313,19 +91,11 @@ def parallel_map(
     ``fn`` must be a module-level function and each item picklable; a
     worker exception propagates to the caller (the pool is torn down,
     remaining tasks are abandoned).
-
-    ``shm`` routes result arrays of at least ``shm_threshold`` bytes
-    through the shared-memory transport (see the module section
-    above); results are value-identical either way — the transport
-    changes how bytes move, never what they are.
     """
     effective = normalize_jobs(jobs)
     if effective <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
     workers = min(effective, len(items))
-    task: "Callable[[Any], Any]" = (
-        _ShmTask(fn, shm_threshold) if shm else fn
-    )
     # fork keeps loaded modules (numpy, scipy) instead of re-importing
     # them per worker; every platform this repo targets supports it
     context = multiprocessing.get_context("fork")
@@ -335,26 +105,12 @@ def parallel_map(
     # no sampler thread may be alive while the pool forks: a forked
     # child would inherit the thread's locks mid-publish but not the
     # thread itself (see RPR402 / docs/STATIC_ANALYSIS.md)
-    pids: "list[int]" = []
     with live.suspend_samplers():
         sanitize.check_fork_safety()
-        try:
-            with ProcessPoolExecutor(
-                max_workers=workers, mp_context=context
-            ) as pool:
-                try:
-                    raw = list(pool.map(task, items, chunksize=1))
-                finally:
-                    pids = list(getattr(pool, "_processes", None) or ())
-        except BaseException:
-            # a failed map abandons completed-but-unread results; the
-            # pool has joined its workers, so sweep their segments
-            _sweep_worker_segments(pids)
-            raise
-    return [
-        shm_loads(blob) if isinstance(blob, ShmBlob) else blob
-        for blob in raw
-    ]
+        with ProcessPoolExecutor(
+            max_workers=workers, mp_context=context
+        ) as pool:
+            return list(pool.map(fn, items, chunksize=1))
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +186,6 @@ def _live_worker(
     item: Any,
     channel: Any,
     token: Any,
-    shm_threshold: int,
 ) -> None:
     """Child-process body: forward events, then the task's outcome.
 
@@ -439,11 +194,6 @@ def _live_worker(
     ``channel`` and are pickled there.  Message order per task is
     guaranteed by the queue's FIFO discipline: every event precedes
     the final ``done``/``cancelled``/``error`` message.
-
-    ``shm_threshold > 0`` shm-encodes the outcome payload: its large
-    arrays go to named segments and only an :class:`ShmBlob`
-    descriptor rides the queue.  A dump failure cleans its own
-    segments (see :func:`shm_dumps`) and reports as a task error.
     """
     try:
         task_bus = live.EventBus(
@@ -453,8 +203,6 @@ def _live_worker(
             lambda event: channel.put(("event", index, event))
         )
         kind, payload = _execute_task(fn, index, item, task_bus)
-        if shm_threshold > 0:
-            payload = shm_dumps(payload, shm_threshold)
         channel.put((kind, index, payload))
     except BaseException:
         channel.put(("error", index, traceback.format_exc()))
@@ -467,8 +215,6 @@ def parallel_map_live(
     bus: "live.EventBus | None" = None,
     handle_ready: "Callable[[LiveHandle], None] | None" = None,
     always_fork: bool = False,
-    shm: bool = True,
-    shm_threshold: int = SHM_THRESHOLD_BYTES,
 ) -> "list[Any]":
     """:func:`parallel_map` with live event streaming and cancellation.
 
@@ -495,13 +241,6 @@ def parallel_map_live(
     ``jobs`` — the bridge bit-identity tests pin this.  Cross-*task*
     interleaving is scheduling-dependent (that is what makes the
     stream live).
-
-    ``shm`` enables the shared-memory result transport (worker
-    outcomes with arrays >= ``shm_threshold`` bytes move through
-    named segments; the queue carries descriptors).  Event and result
-    *values* are bit-identical with the transport on or off; failure
-    and cancellation paths drain the channel and sweep dead workers'
-    segments so nothing is left in ``/dev/shm``.
     """
     if bus is None:
         bus = live.EventBus()
@@ -537,8 +276,6 @@ def parallel_map_live(
     out: "list[Any]" = [None] * n
     finished = [False] * n
     next_task = 0
-    pids: "list[int]" = []
-    threshold = shm_threshold if shm else 0
     failure: "str | None" = None
     #: consecutive empty polls seen after every running worker died —
     #: lets in-flight messages drain before declaring a lost worker
@@ -552,12 +289,11 @@ def parallel_map_live(
                 proc = context.Process(
                     target=_live_worker,
                     args=(fn, next_task, items[next_task],
-                          channel, tokens[next_task], threshold),
+                          channel, tokens[next_task]),
                     daemon=True,
                 )
                 proc.start()
             running[next_task] = proc
-            pids.append(proc.pid)
             next_task += 1
         try:
             message = channel.get(timeout=0.1)
@@ -578,8 +314,6 @@ def parallel_map_live(
         if kind == "event":
             bus.publish(payload)
         elif kind in ("done", "cancelled"):
-            if isinstance(payload, ShmBlob):
-                payload = shm_loads(payload)
             out[index] = payload
             finished[index] = True
             proc = running.pop(index)
@@ -594,23 +328,5 @@ def parallel_map_live(
             if proc.is_alive():
                 proc.terminate()
                 proc.join()
-        # release segments referenced by still-queued results, then
-        # sweep anything the dead workers created but never reported
-        _drain_channel(channel)
-        _sweep_worker_segments(pids)
         raise RuntimeError(failure)
-    # belt and braces: every blob restored above unlinked its own
-    # segments; anything left under a worker's prefix is a leak
-    _sweep_worker_segments(pids)
     return out
-
-
-def _drain_channel(channel: Any) -> None:
-    """Empty the queue, releasing any shm blobs still in flight."""
-    while True:
-        try:
-            message = channel.get_nowait()
-        except queue_mod.Empty:
-            return
-        if isinstance(message, tuple) and len(message) == 3:
-            discard_blob(message[2])

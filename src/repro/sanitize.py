@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import sys
 import threading
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 _ENV_VAR = "REPRO_SANITIZE"
 
@@ -235,23 +235,6 @@ def _hazardous_threads() -> list[threading.Thread]:
     return hazards
 
 
-#: extra fork-time hazard probes registered by other subsystems; each
-#: returns a violation message, or None when its resource is clean
-_EXTRA_FORK_CHECKS: "list[Callable[[], str | None]]" = []
-
-
-def register_fork_check(probe: "Callable[[], str | None]") -> None:
-    """Register an extra fork-time hazard probe (idempotent).
-
-    ``repro.parallel`` uses this for shared-memory segment lifecycle:
-    a fork while this process holds open segment handles would leak
-    the child a mapping it never closes.  Probes run inside
-    :func:`check_fork_safety`, i.e. only when the sanitizer is on.
-    """
-    if probe not in _EXTRA_FORK_CHECKS:
-        _EXTRA_FORK_CHECKS.append(probe)
-
-
 def check_fork_safety() -> None:
     """Raise :class:`ForkSafetyError` on fork-hostile live threads.
 
@@ -274,10 +257,6 @@ def check_fork_safety() -> None:
             "but not the threads themselves — stop them (or use "
             "live.suspend_samplers()) before forking"
         )
-    for probe in _EXTRA_FORK_CHECKS:
-        message = probe()
-        if message:
-            raise ForkSafetyError(message)
 
 
 def _at_fork_check() -> None:

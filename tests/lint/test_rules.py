@@ -29,7 +29,6 @@ class TestRegistry:
             "RPR201", "RPR202", "RPR203", "RPR204",
             "RPR301",
             "RPR401", "RPR402", "RPR403", "RPR404",
-            "RPR501",
         }
 
     def test_rules_have_metadata(self):
@@ -466,43 +465,3 @@ class TestApiHygieneRPR301:
                 return x
         """
         assert not _lint(src, "repro/api.py", "RPR301")
-
-
-class TestShmConfinementRPR501:
-    BAD = """
-        from multiprocessing import shared_memory
-
-        def stash(payload):
-            seg = shared_memory.SharedMemory(
-                create=True, size=len(payload)
-            )
-            seg.buf[: len(payload)] = payload
-            return seg.name
-    """
-
-    def test_flags_construction_outside_parallel(self):
-        findings = _lint(self.BAD, "repro/service/fake.py", "RPR501")
-        assert _rule_ids(findings) == {"RPR501"}
-        assert "repro.parallel" in findings[0].message
-
-    def test_flags_aliased_class_import(self):
-        src = """
-            from multiprocessing.shared_memory import SharedMemory as Seg
-
-            def attach(name):
-                return Seg(name=name)
-        """
-        findings = _lint(src, "repro/obs/fake.py", "RPR501")
-        assert _rule_ids(findings) == {"RPR501"}
-
-    def test_parallel_module_is_exempt(self):
-        assert not _lint(self.BAD, "repro/parallel.py", "RPR501")
-
-    def test_clean_via_transport_helpers(self):
-        src = """
-            from repro.parallel import shm_dumps, shm_loads
-
-            def roundtrip(result):
-                return shm_loads(shm_dumps(result))
-        """
-        assert not _lint(src, "repro/service/fake.py", "RPR501")

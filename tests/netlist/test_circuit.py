@@ -43,8 +43,10 @@ def test_validate_unknown_pin():
     c = Circuit("c")
     c.add_device(_mos("A"))
     c.add_net(Net("n", [("A", "nopin")]))
-    with pytest.raises(KeyError, match="no pin"):
+    with pytest.raises(CircuitError) as info:
         c.validate()
+    message = str(info.value)
+    assert "'n'" in message and "'A'" in message and "'nopin'" in message
 
 
 def test_validate_unknown_constraint_device():
@@ -66,6 +68,18 @@ def test_validate_mismatched_pair_dimensions():
     )
     with pytest.raises(CircuitError, match="mismatched"):
         c.validate()
+
+
+def test_validate_mixed_type_pair():
+    c = Circuit("c")
+    c.add_device(_mos("MN"))
+    c.add_device(Device("MP", DeviceType.PMOS, width=2.0, height=2.0))
+    c.constraints.symmetry_groups.append(
+        SymmetryGroup("g", pairs=(("MN", "MP"),))
+    )
+    with pytest.raises(CircuitError, match="device types") as info:
+        c.validate()
+    assert "'MN'" in str(info.value) and "'MP'" in str(info.value)
 
 
 def test_validate_device_in_two_groups():

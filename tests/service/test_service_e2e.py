@@ -209,9 +209,6 @@ def test_full_queue_gets_503(tmp_path):
 
 
 def test_cancel_lands_mid_run(tmp_path):
-    from repro.parallel import shm_segments
-
-    segments_before = shm_segments()
     with service_server(tmp_path) as (base, _service):
         _, doc, _ = request("POST", f"{base}/jobs", {
             "circuit": "comp1", "method": "annealing", "seed": 2,
@@ -229,14 +226,9 @@ def test_cancel_lands_mid_run(tmp_path):
         registry = RunRegistry(tmp_path / "runs")
         run = registry.list_runs()[-1]
         assert run.manifest["status"] == "cancelled"
-    # the cancelled worker's shared-memory segments were unlinked
-    assert shm_segments() == segments_before
 
 
 def test_per_job_timeout_fails_the_job(tmp_path):
-    from repro.parallel import shm_segments
-
-    segments_before = shm_segments()
     with service_server(tmp_path) as (base, _service):
         _, doc, _ = request("POST", f"{base}/jobs", {
             "circuit": "comp1", "method": "annealing", "seed": 3,
@@ -248,8 +240,6 @@ def test_per_job_timeout_fails_the_job(tmp_path):
         assert "timed out" in final["error"]
         _, stats, _ = request("GET", f"{base}/stats")
         assert stats["timeouts"] == 1
-    # a timed-out job's transport segments never outlive the job
-    assert shm_segments() == segments_before
 
 
 def test_cancel_while_queued_never_executes(tmp_path):

@@ -14,6 +14,7 @@ import pytest
 from repro.annealing import SAParams
 from repro.api import place_multiseed
 from repro.circuits import make
+from repro.eplace import EPlaceParams
 from repro.obs import tracing
 from repro.parallel import normalize_jobs, parallel_map
 
@@ -68,6 +69,23 @@ class TestPlaceMultiseed:
             mb = {k: v for k, v in b.metrics().items()
                   if k != "runtime_s"}
             assert ma == mb
+
+    def test_eplace_jobs1_vs_jobs2_identical(self, cc_ota_circuit,
+                                             fast_dp_params):
+        kwargs = dict(
+            gp_params=EPlaceParams(max_iters=60, min_iters=15, bins=16,
+                                   eta=0.3),
+            dp_params=fast_dp_params,
+        )
+        seq = place_multiseed(cc_ota_circuit, "eplace-a", seeds=(1, 2),
+                              jobs=1, **kwargs)
+        par = place_multiseed(cc_ota_circuit, "eplace-a", seeds=(1, 2),
+                              jobs=2, **kwargs)
+        for a, b in zip(seq, par):
+            assert b.method == "eplace-a"
+            assert np.array_equal(a.placement.x, b.placement.x)
+            assert np.array_equal(a.placement.y, b.placement.y)
+            assert a.metrics()["hpwl"] == b.metrics()["hpwl"]
 
     def test_results_in_seed_order_and_seeded(self):
         circuit = make("Adder")

@@ -21,6 +21,16 @@ def _boom_worker(item: int) -> int:
     return item
 
 
+def _slow_emit_worker(item: int) -> int:
+    """Like :func:`_emit_worker` but slow enough to cancel mid-run."""
+    import time
+
+    for i in range(1, 50):
+        live.progress("w.loop", i, value=float(item * 10 + i))
+        time.sleep(0.05)
+    return item * 2
+
+
 def _run(items, jobs, handle_ready=None):
     sub = live.CollectingSubscriber()
     bus = live.EventBus()
@@ -99,6 +109,26 @@ class TestCancellation:
         assert handle.cancelled(0) and not handle.cancelled(1)
         assert isinstance(out[0], CancelledTask)
         assert out[1] == 6
+
+    def test_mid_run_cancellation_forked(self):
+        captured = {}
+
+        def on_ready(handle):
+            captured["handle"] = handle
+
+        def watcher(event):
+            if (isinstance(event, live.ProgressEvent)
+                    and event.source == 0 and event.iteration >= 2):
+                captured["handle"].cancel(0)
+
+        bus = live.EventBus()
+        bus.subscribe(watcher)
+        out = parallel_map_live(
+            _slow_emit_worker, [7], jobs=1, bus=bus,
+            handle_ready=on_ready, always_fork=True,
+        )
+        assert isinstance(out[0], CancelledTask)
+        assert out[0].iteration >= 2
 
 
 class TestFailure:
