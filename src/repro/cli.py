@@ -15,7 +15,7 @@ Commands:
   over the run directories that ``place --save-run`` and ``table
   --save-run`` record;
 * ``serve`` — run the placement service (:mod:`repro.service`): an
-  HTTP/JSON job API with queueing, dedupe caching, admission control
+  HTTP/JSON job API with queueing, fingerprint dedupe, cancellation
   and NDJSON event streaming; see docs/SERVICE.md.
 
 Global ``-v``/``-vv`` raises the ``repro.*`` logging level (INFO /
@@ -591,20 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: 16)",
     )
     p_serve.add_argument(
-        "--max-cost", type=float, default=None,
-        help="admission budget in cost points; over-budget jobs get "
-             "HTTP 429 (default: unlimited; see docs/SERVICE.md)",
-    )
-    p_serve.add_argument(
-        "--cache-dir", default=None,
-        help="persist the result cache here (default: memory only)",
-    )
-    p_serve.add_argument(
-        "--cache-policy", choices=("fifo", "lru"), default="lru",
-        help="disk-cache eviction policy: lru renews entries on every "
-             "hit, fifo evicts oldest writes (default: lru)",
-    )
-    p_serve.add_argument(
         "--runs-root", default=None,
         help="run registry root for finished jobs "
              "(default: $REPRO_RUNS_DIR or ./runs)",
@@ -628,9 +614,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         workers=args.workers,
         queue_depth=args.queue_depth,
-        max_cost=args.max_cost,
-        cache_dir=args.cache_dir,
-        cache_policy=args.cache_policy,
         runs_root=args.runs_root,
         timeout_s=args.timeout_s,
     )

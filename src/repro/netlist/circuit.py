@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import networkx as nx
 import numpy as np
 
-from .constraints import ConstraintSet
+from .constraints import Axis, ConstraintSet
 from .device import Device
 from .net import Net
 
@@ -169,6 +169,19 @@ class Circuit:
                     "symmetry group"
                 )
             seen.update(group.devices)
+        for axis in Axis:
+            order = nx.DiGraph()
+            for chain in self.constraints.orderings:
+                if chain.axis is axis:
+                    order.add_edges_from(chain.pairs)
+            try:
+                cycle = nx.find_cycle(order)
+            except nx.NetworkXNoCycle:
+                continue
+            raise CircuitError(
+                f"{axis.value} ordering chains are cyclic through "
+                f"{[edge[0] for edge in cycle]}; no placement can satisfy them"
+            )
 
     # ------------------------------------------------------------------
     # graph view

@@ -2,20 +2,17 @@
 
 A stdlib-only HTTP/JSON service (``repro serve``) that queues
 placement requests, executes them in forked worker processes through
-:mod:`repro.parallel`, dedupes identical work through a content
-fingerprint cache, refuses over-budget jobs at admission, streams each
-job's live telemetry as NDJSON, and finalizes every execution into the
+:mod:`repro.parallel`, answers a repeat of queued, running or
+retained finished work with the original job, streams each job's
+live telemetry as NDJSON, and finalizes every execution into the
 persistent run registry so ``repro runs doctor|report|compare`` treat
 service output exactly like local ``--save-run`` runs.
 
 Layout:
 
 - :mod:`repro.service.protocol` — request parsing, job states, and
-  the sha256 content fingerprint (canonical netlist + constraints +
-  engine + resolved params + seed) that keys the dedupe cache;
-- :mod:`repro.service.admission` — the cost model and the 429 gate;
-- :mod:`repro.service.cache` — the fingerprint-keyed result cache
-  (memory + optional on-disk layer);
+  the sha256 fingerprint (circuit name + engine + resolved params +
+  seed) that keys the dedupe index;
 - :mod:`repro.service.queue` — job records and the bounded FIFO;
 - :mod:`repro.service.app` — the service core, worker pool, timeout
   watchdog, and the HTTP shim.
@@ -24,12 +21,6 @@ See docs/SERVICE.md for the API reference and the job lifecycle
 state machine.
 """
 
-from .admission import (
-    ENGINE_COST_WEIGHTS,
-    AdmissionDecision,
-    AdmissionPolicy,
-    estimate_cost,
-)
 from .app import (
     ROUTES,
     PlacementService,
@@ -37,7 +28,6 @@ from .app import (
     make_server,
     serve,
 )
-from .cache import ResultCache
 from .protocol import (
     CANCELLED,
     DONE,
@@ -50,7 +40,6 @@ from .protocol import (
     JobRequest,
     ProtocolError,
     build_place_kwargs,
-    canonical_circuit,
     engine_params_doc,
     fingerprint_request,
     parse_job_request,
@@ -59,11 +48,8 @@ from .protocol import (
 from .queue import Job, JobQueue, QueueFull
 
 __all__ = [
-    "AdmissionDecision",
-    "AdmissionPolicy",
     "CANCELLED",
     "DONE",
-    "ENGINE_COST_WEIGHTS",
     "EVICTED",
     "FAILED",
     "JOB_STATES",
@@ -76,13 +62,10 @@ __all__ = [
     "QueueFull",
     "ROUTES",
     "RUNNING",
-    "ResultCache",
     "ServiceConfig",
     "TERMINAL_STATES",
     "build_place_kwargs",
-    "canonical_circuit",
     "engine_params_doc",
-    "estimate_cost",
     "fingerprint_request",
     "make_server",
     "parse_job_request",

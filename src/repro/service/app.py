@@ -13,16 +13,15 @@ buffer (served as NDJSON) and the run registry.
 Request flow (see docs/SERVICE.md for the full state machine)::
 
     POST /jobs
-      -> dedupe: same fingerprint already queued/running?  coalesce.
-      -> cache:  fingerprint completed before?  answer from cache.
-      -> admission: estimated cost over budget?  429 + Retry-After.
+      -> dedupe: same fingerprint queued, running or retained done?
+                 answer with that job (200, deduped).
       -> queue:  full?  503 + Retry-After.  else enqueue (202).
 
 Every *executed* job is finalized into the persistent run registry
 (:mod:`repro.obs.registry`), so ``repro runs doctor|report|compare``
 work identically on service output and local ``--save-run`` runs.
-Coalesced and cache-hit submissions create **no** new registry run —
-one execution, one run directory.
+Deduped submissions create **no** new registry run — one execution,
+one run directory.
 """
 
 from __future__ import annotations
@@ -44,8 +43,6 @@ from ..obs.trace import Stopwatch
 from ..parallel import CancelledTask, parallel_map_live
 from ..placement import PlacerResult
 from ..placement.io import placement_to_dict
-from .admission import AdmissionPolicy
-from .cache import CACHE_POLICIES, ResultCache
 from .protocol import (
     CANCELLED,
     DONE,
@@ -68,7 +65,7 @@ logger = get_logger("service.app")
 #: a test enumerates this table against the doc.
 ROUTES: "tuple[tuple[str, str, str], ...]" = (
     ("POST", "/jobs",
-     "submit a placement job (dedupe/cache/admission, then queue)"),
+     "submit a placement job (dedupe, then queue)"),
     ("GET", "/jobs/<id>",
      "fetch one job's full record (state, result, run_id)"),
     ("GET", "/jobs/<id>/events",
@@ -88,6 +85,10 @@ HEALTH_SCHEMA = "repro.service.health/1"
 #: schema tag on error response bodies
 ERROR_SCHEMA = "repro.service.error/1"
 
+#: terminal job records kept before the oldest is evicted; this also
+#: bounds the done jobs the fingerprint index can answer from
+RETAIN_JOBS = 256
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -97,30 +98,14 @@ class ServiceConfig:
     port: int = 0
     workers: int = 2
     queue_depth: int = 16
-    max_cost: "float | None" = None
-    cache_dir: "str | None" = None
-    #: result-cache eviction policy: "lru" (hits renew entries) or
-    #: "fifo" (oldest writes evicted first); see repro.service.cache
-    cache_policy: str = "lru"
     runs_root: "str | None" = None
     #: default per-job wall-time budget (requests may set their own)
     timeout_s: "float | None" = None
-    #: terminal job records kept before eviction
-    retain_jobs: int = 256
 
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ValueError(
                 f"workers must be >= 1, got {self.workers}"
-            )
-        if self.retain_jobs < 1:
-            raise ValueError(
-                f"retain_jobs must be >= 1, got {self.retain_jobs}"
-            )
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ValueError(
-                f"cache_policy must be one of {CACHE_POLICIES}, "
-                f"got {self.cache_policy!r}"
             )
 
 
@@ -146,7 +131,7 @@ def _job_worker(
 
 
 class PlacementService:
-    """The service core: queue, worker pool, cache, admission, registry.
+    """The service core: queue, worker pool, dedupe index, registry.
 
     HTTP-free by design — every endpoint maps to one method returning
     ``(status_code, document, extra_headers)``, so the whole protocol
@@ -160,14 +145,12 @@ class PlacementService:
     def __init__(self, config: "ServiceConfig | None" = None) -> None:
         self.config = config or ServiceConfig()
         self.queue = JobQueue(self.config.queue_depth)
-        self.cache = ResultCache(self.config.cache_dir,
-                                 policy=self.config.cache_policy)
-        self.admission = AdmissionPolicy(self.config.max_cost)
         self.registry = RunRegistry(self.config.runs_root)
         self._lock = threading.Lock()
         self._jobs: "dict[str, Job]" = {}
-        #: fingerprint -> live (queued/running) job, for coalescing
-        self._active: "dict[str, Job]" = {}
+        #: fingerprint -> queued, running or retained done job; failed,
+        #: cancelled and evicted jobs leave it, so repeats re-execute
+        self._by_fingerprint: "dict[str, Job]" = {}
         #: jobs currently executing, for the timeout watchdog
         self._running: "set[Job]" = set()
         #: terminal job ids in completion order, for eviction
@@ -184,9 +167,7 @@ class PlacementService:
             "failed": 0,
             "cancelled": 0,
             "timeouts": 0,
-            "cache_hits": 0,
             "coalesced": 0,
-            "rejected_cost": 0,
             "rejected_queue_full": 0,
             "evicted": 0,
         }
@@ -231,91 +212,37 @@ class PlacementService:
         """Handle one submission; returns (status, body, headers)."""
         try:
             request = parse_job_request(doc)
-            circuit = make(request.circuit)
-            fingerprint = fingerprint_request(request, circuit)
+            fingerprint = fingerprint_request(request)
         except ProtocolError as exc:
             return 400, _error_doc(str(exc)), {}
         with self._lock:
-            existing = self._active.get(fingerprint)
+            existing = self._by_fingerprint.get(fingerprint)
             if existing is not None:
-                return self._coalesce(existing)
-        cached = self.cache.get(fingerprint)
-        if cached is not None:
-            return self._answer_from_cache(
-                request, fingerprint, cached
-            )
-        backlog = len(self.queue) + self._running_count()
-        decision = self.admission.check(
-            circuit.num_devices, request, backlog
-        )
-        if not decision.admitted:
-            with self._lock:
-                self.stats["rejected_cost"] += 1
-            return 429, _error_doc(
-                decision.reason, cost=decision.cost
-            ), {"Retry-After": str(decision.retry_after_s)}
-        with self._lock:
-            existing = self._active.get(fingerprint)
-            if existing is not None:
-                return self._coalesce(existing)
-            job = Job(
-                self._make_id(fingerprint), request, fingerprint,
-                decision.cost,
-            )
+                with existing.cond:
+                    existing.coalesced += 1
+                self.stats["coalesced"] += 1
+                doc = existing.to_doc()
+                doc["deduped"] = True
+                return 200, doc, {
+                    "Location": f"/jobs/{existing.job_id}"
+                }
+            job = Job(self._make_id(fingerprint), request, fingerprint)
             try:
                 self.queue.put(job)
             except QueueFull as exc:
                 self.stats["rejected_queue_full"] += 1
-                retry = self.admission.retry_after_s(
-                    self.queue.depth + len(self._running)
-                )
+                backlog = self.queue.depth + len(self._running)
                 return 503, _error_doc(str(exc)), {
-                    "Retry-After": str(retry)
+                    "Retry-After": str(max(1, 2 * max(1, backlog)))
                 }
             self._jobs[job.job_id] = job
-            self._active[fingerprint] = job
+            self._by_fingerprint[fingerprint] = job
             self.stats["submitted"] += 1
         logger.info(
-            "job %s queued: %s/%s seed=%d cost=%.1f",
-            job.job_id, request.circuit, request.method,
-            request.seed, decision.cost,
+            "job %s queued: %s/%s seed=%d",
+            job.job_id, request.circuit, request.method, request.seed,
         )
         return 202, job.to_doc(), {
-            "Location": f"/jobs/{job.job_id}"
-        }
-
-    def _coalesce(
-        self, job: Job
-    ) -> "tuple[int, dict[str, Any], dict[str, str]]":
-        """Answer a duplicate submission with the in-flight job."""
-        with job.cond:
-            job.coalesced += 1
-        self.stats["coalesced"] += 1
-        doc = job.to_doc()
-        doc["deduped"] = True
-        return 200, doc, {"Location": f"/jobs/{job.job_id}"}
-
-    def _answer_from_cache(
-        self,
-        request: JobRequest,
-        fingerprint: str,
-        cached: "dict[str, Any]",
-    ) -> "tuple[int, dict[str, Any], dict[str, str]]":
-        """Materialise a done job record around a cached result."""
-        with self._lock:
-            job = Job(
-                self._make_id(fingerprint), request, fingerprint,
-                cost=0.0, state=DONE,
-            )
-            job.cache_hit = True
-            job.result = cached
-            job.run_id = cached.get("run_id")
-            self._jobs[job.job_id] = job
-            self._finished.append(job.job_id)
-            self.stats["cache_hits"] += 1
-            self._evict_locked()
-        logger.info("job %s answered from cache", job.job_id)
-        return 200, job.to_doc(), {
             "Location": f"/jobs/{job.job_id}"
         }
 
@@ -324,19 +251,10 @@ class PlacementService:
         self, job_id: str
     ) -> "tuple[int, dict[str, Any], dict[str, str]]":
         """The job record, a 410 tombstone, or a 404."""
-        with self._lock:
-            job = self._jobs.get(job_id)
-            evicted = job is None and job_id in self._tombstones
-        if job is not None:
-            return 200, job.to_doc(), {}
-        if evicted:
-            return 410, {
-                "schema": ERROR_SCHEMA,
-                "id": job_id,
-                "state": EVICTED,
-                "error": "job record was evicted",
-            }, {}
-        return 404, _error_doc(f"unknown job {job_id!r}"), {}
+        job = self.get_job(job_id)
+        if job is None:
+            return self._missing(job_id)
+        return 200, job.to_doc(), {}
 
     def get_job(self, job_id: str) -> "Job | None":
         """The live job object (for event streaming), or ``None``."""
@@ -348,34 +266,23 @@ class PlacementService:
         self, job_id: str
     ) -> "tuple[int, dict[str, Any], dict[str, str]]":
         """Cancel a live job; evict a terminal record."""
-        with self._lock:
-            job = self._jobs.get(job_id)
+        job = self.get_job(job_id)
         if job is None:
-            with self._lock:
-                if job_id in self._tombstones:
-                    return 410, {
-                        "schema": ERROR_SCHEMA,
-                        "id": job_id,
-                        "state": EVICTED,
-                        "error": "job record was evicted",
-                    }, {}
-            return 404, _error_doc(f"unknown job {job_id!r}"), {}
+            return self._missing(job_id)
+        if self.queue.remove(job):
+            # still queued, so no worker will ever see it: settle here
+            self._settle(job, CANCELLED, ("cancelled",))
+            logger.info("job %s cancelled while queued", job.job_id)
+            return 200, job.to_doc(), {}
         if job.request_cancel():
-            # a still-queued job never reaches a worker: release its
-            # queue slot and close out its registry bookkeeping here
-            if self.queue.remove(job):
-                self._finalize_bookkeeping(job)
-                with self._lock:
-                    self.stats["cancelled"] += 1
+            # claimed by a worker, which settles it as cancelled
             logger.info("job %s cancellation requested", job.job_id)
             return 200, job.to_doc(), {}
         # terminal record: DELETE evicts it
         with self._lock:
-            self._jobs.pop(job_id, None)
             if job_id in self._finished:
                 self._finished.remove(job_id)
-            self._tombstones.append(job_id)
-            self.stats["evicted"] += 1
+            self._evict_locked(job_id)
         return 200, {
             "schema": ERROR_SCHEMA,
             "id": job_id,
@@ -409,14 +316,10 @@ class PlacementService:
             "queued": len(self.queue),
             "running": self._running_count(),
             "jobs_retained": retained,
-            "cache_entries": len(self.cache),
             "config": {
                 "workers": self.config.workers,
                 "queue_depth": self.config.queue_depth,
-                "max_cost": self.config.max_cost,
                 "timeout_s": self.config.timeout_s,
-                "cache_dir": self.config.cache_dir,
-                "cache_policy": self.config.cache_policy,
             },
         }
         doc.update(counters)
@@ -430,16 +333,17 @@ class PlacementService:
             if job is None:
                 continue
             if not job.mark_running():
-                # cancelled while queued; bookkeeping already done
+                # DELETE landed between the pop and the start
+                self._settle(job, CANCELLED, ("cancelled",))
                 continue
             with self._lock:
                 self._running.add(job)
             try:
                 self._execute(job)
-            finally:
-                with self._lock:
-                    self._running.discard(job)
-                self._finalize_bookkeeping(job)
+            except Exception as exc:  # the worker must outlive a bad job
+                logger.exception("job %s crashed", job.job_id)
+                self._settle(job, FAILED, ("failed",),
+                             error=f"internal error: {exc}")
 
     def _execute(self, job: Job) -> None:
         """Run one job in a forked child and finalize its registry run."""
@@ -470,32 +374,28 @@ class PlacementService:
             )
         except RuntimeError as exc:
             writer.finalize(status="failed")
-            job.finish(FAILED, error=str(exc), run_id=writer.run_id)
-            with self._lock:
-                self.stats["failed"] += 1
+            self._settle(job, FAILED, ("failed",), error=str(exc),
+                         run_id=writer.run_id)
             logger.warning("job %s failed: %s", job.job_id, exc)
             return
         item = raw[0]
         if isinstance(item, CancelledTask):
             if job.timed_out:
                 writer.finalize(status="failed")
-                job.finish(
-                    FAILED,
+                timeout = job.effective_timeout_s(self.config.timeout_s)
+                self._settle(
+                    job, FAILED, ("failed", "timeouts"),
                     error=(
-                        f"timed out after {job.effective_timeout_s(self.config.timeout_s)}s "
+                        f"timed out after {timeout}s "
                         f"at {item.phase}[{item.iteration}]"
                     ),
                     run_id=writer.run_id,
                 )
-                with self._lock:
-                    self.stats["failed"] += 1
-                    self.stats["timeouts"] += 1
                 logger.warning("job %s timed out", job.job_id)
             else:
                 writer.finalize(status="cancelled")
-                job.finish(CANCELLED, run_id=writer.run_id)
-                with self._lock:
-                    self.stats["cancelled"] += 1
+                self._settle(job, CANCELLED, ("cancelled",),
+                             run_id=writer.run_id)
                 logger.info("job %s cancelled mid-run", job.job_id)
             return
         result: PlacerResult = item
@@ -519,10 +419,8 @@ class PlacementService:
             },
             "run_id": writer.run_id,
         }
-        self.cache.put(job.fingerprint, doc)
-        job.finish(DONE, result=doc, run_id=writer.run_id)
-        with self._lock:
-            self.stats["completed"] += 1
+        self._settle(job, DONE, ("completed",), result=doc,
+                     run_id=writer.run_id)
         logger.info(
             "job %s done: hpwl=%.2f run=%s",
             job.job_id, metrics.get("hpwl", float("nan")),
@@ -567,29 +465,60 @@ class PlacementService:
         self._next_id += 1
         return f"job-{self._next_id:06d}-{fingerprint[:8]}"
 
-    def _finalize_bookkeeping(self, job: Job) -> None:
-        """Drop a finished job from the active index; trim old records."""
+    def _missing(
+        self, job_id: str
+    ) -> "tuple[int, dict[str, Any], dict[str, str]]":
+        """410 for an evicted id, 404 for one never issued."""
         with self._lock:
-            if self._active.get(job.fingerprint) is job:
-                del self._active[job.fingerprint]
+            evicted = job_id in self._tombstones
+        if evicted:
+            return 410, {
+                "schema": ERROR_SCHEMA,
+                "id": job_id,
+                "state": EVICTED,
+                "error": "job record was evicted",
+            }, {}
+        return 404, _error_doc(f"unknown job {job_id!r}"), {}
+
+    def _settle(
+        self,
+        job: Job,
+        state: str,
+        counters: "tuple[str, ...]",
+        **fields: Any,
+    ) -> None:
+        """Enter a terminal state and update every index in one step.
+
+        Holding the service lock across the transition means no
+        submission can ever be deduped onto a failed or cancelled job.
+        """
+        with self._lock:
+            job.finish(state, **fields)
+            for counter in counters:
+                self.stats[counter] += 1
+            self._running.discard(job)
+            if state != DONE:
+                self._unindex_locked(job)
             self._finished.append(job.job_id)
-            self._evict_locked()
+            while len(self._finished) > RETAIN_JOBS:
+                self._evict_locked(self._finished.popleft())
 
-    def _evict_locked(self) -> None:
-        """Trim terminal records beyond ``retain_jobs`` (lock held)."""
-        while len(self._finished) > self.config.retain_jobs:
-            victim = self._finished.popleft()
-            if self._jobs.pop(victim, None) is not None:
-                self._tombstones.append(victim)
-                self.stats["evicted"] += 1
+    def _evict_locked(self, job_id: str) -> None:
+        """Drop a terminal record, leaving a tombstone (lock held)."""
+        job = self._jobs.pop(job_id, None)
+        if job is None:
+            return
+        self._unindex_locked(job)
+        self._tombstones.append(job_id)
+        self.stats["evicted"] += 1
+
+    def _unindex_locked(self, job: Job) -> None:
+        if self._by_fingerprint.get(job.fingerprint) is job:
+            del self._by_fingerprint[job.fingerprint]
 
 
-def _error_doc(message: str, **extra: Any) -> "dict[str, Any]":
-    doc: "dict[str, Any]" = {
-        "schema": ERROR_SCHEMA, "error": message,
-    }
-    doc.update(extra)
-    return doc
+def _error_doc(message: str) -> "dict[str, Any]":
+    return {"schema": ERROR_SCHEMA, "error": message}
 
 
 # ---------------------------------------------------------------------------

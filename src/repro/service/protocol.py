@@ -1,40 +1,39 @@
 """Wire protocol for the placement service.
 
-Request parsing, the job lifecycle states, and the content
-fingerprint that keys the service's dedupe cache.  Everything here is
-pure data plumbing — no sockets, no threads — so the protocol can be
+Request parsing, the job lifecycle states, and the fingerprint that
+keys the service's dedupe index.  Everything here is pure data
+plumbing — no sockets, no threads — so the protocol can be
 unit-tested without a server.
 
-The fingerprint generalises the
-:class:`repro.gnn.batched.FeatureCache` idiom: identity is a sha256
-over *content*, never over object identity or request arrival order.
-Two submissions whose canonical netlist, constraints, engine, params
-and seed all match are by construction the same computation, so the
-service answers the second one from the first one's execution.
+Identity is a sha256 over what a request computes, never over object
+identity or request arrival order.  Two submissions whose circuit,
+engine, resolved params and seed all match are by construction the
+same computation, so the service answers the second one with the
+first one's job.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Mapping
 
 from ..api import METHODS, _reseed_kwargs
-from ..circuits import PAPER_TESTCASES, make
-from ..netlist import Circuit
+from ..circuits import PAPER_TESTCASES
 
 #: schema tag stamped on every fingerprinted payload
-FINGERPRINT_SCHEMA = "repro.service.fingerprint/1"
+FINGERPRINT_SCHEMA = "repro.service.fingerprint/2"
 
 #: schema tag for job records returned by the HTTP API
 JOB_SCHEMA = "repro.service.job/1"
 
-#: schema tag for cached/returned result documents
+#: schema tag for returned result documents
 RESULT_SCHEMA = "repro.service.result/1"
 
 # -- job lifecycle states --------------------------------------------------
-#: waiting in the FIFO queue (admission already passed)
+#: waiting in the FIFO queue
 QUEUED = "queued"
 #: claimed by a worker; the placement is executing in a forked child
 RUNNING = "running"
@@ -154,6 +153,10 @@ def parse_job_request(doc: Any) -> JobRequest:
                 f"timeout_s must be a number, got {timeout_raw!r}"
             )
         timeout_s = float(timeout_raw)
+        if not math.isfinite(timeout_s):
+            raise ProtocolError(
+                f"timeout_s must be finite, got {timeout_raw!r}"
+            )
         if timeout_s <= 0:
             raise ProtocolError("timeout_s must be positive")
     return JobRequest(
@@ -201,96 +204,19 @@ def engine_params_doc(request: JobRequest) -> "dict[str, Any]":
     return asdict(kwargs[key])
 
 
-def canonical_circuit(circuit: Circuit) -> "dict[str, Any]":
-    """Content-complete, order-canonical netlist document.
-
-    Devices keep index order (it fixes the coordinate layout every
-    engine uses); pins and electrical parameters are sorted by name so
-    construction-order noise never changes the fingerprint.
-    Constraints are included in full — two requests differing only in
-    a symmetry pair are different placement problems.
-    """
-    devices = []
-    for name in circuit.device_names:
-        device = circuit.devices[name]
-        devices.append({
-            "name": name,
-            "dtype": device.dtype.value,
-            "width": device.width,
-            "height": device.height,
-            "pins": [
-                {
-                    "name": pin.name,
-                    "x": pin.offset_x,
-                    "y": pin.offset_y,
-                }
-                for pin in sorted(
-                    device.pins.values(), key=lambda p: p.name
-                )
-            ],
-            "electrical": {
-                key: device.electrical[key]
-                for key in sorted(device.electrical)
-            },
-        })
-    nets = [
-        {
-            "name": net.name,
-            "weight": net.weight,
-            "critical": net.critical,
-            "terminals": [
-                [term.device, term.pin] for term in net.terminals
-            ],
-        }
-        for net in circuit.nets
-    ]
-    constraints = circuit.constraints
-    return {
-        "name": circuit.name,
-        "devices": devices,
-        "nets": nets,
-        "constraints": {
-            "symmetry_groups": [
-                {
-                    "name": group.name,
-                    "axis": group.axis.value,
-                    "pairs": [list(pair) for pair in group.pairs],
-                    "self_symmetric": list(group.self_symmetric),
-                }
-                for group in constraints.symmetry_groups
-            ],
-            "alignments": [
-                {"a": al.a, "b": al.b, "kind": al.kind}
-                for al in constraints.alignments
-            ],
-            "orderings": [
-                {
-                    "name": chain.name,
-                    "axis": chain.axis.value,
-                    "devices": list(chain.devices),
-                }
-                for chain in constraints.orderings
-            ],
-        },
-    }
-
-
-def fingerprint_request(
-    request: JobRequest, circuit: "Circuit | None" = None
-) -> str:
+def fingerprint_request(request: JobRequest) -> str:
     """sha256 hex fingerprint of a request's *computation* identity.
 
-    Digests the canonical netlist + constraints (not just the circuit
-    name), the engine, and the fully-resolved engine params including
-    the seed.  ``timeout_s`` is excluded — see :class:`JobRequest`.
+    Digests the resolved circuit name, the engine, and the
+    fully-resolved engine params including the seed.  Requests can
+    only name a deterministic :data:`repro.circuits.PAPER_TESTCASES`
+    generator, so inside one server process the name fixes the
+    netlist.  ``timeout_s`` is excluded — see :class:`JobRequest`.
     """
-    if circuit is None:
-        circuit = make(request.circuit)
     payload = {
         "schema": FINGERPRINT_SCHEMA,
-        "circuit": canonical_circuit(circuit),
+        "circuit": request.circuit,
         "engine": request.method,
-        "seed": request.seed,
         "params": engine_params_doc(request),
     }
     blob = json.dumps(payload, sort_keys=True, default=float)

@@ -9,11 +9,10 @@ are guarded separately by the service's lock — the ordering
 discipline is *service lock before job condition, never the
 reverse*, which keeps the lock graph acyclic (RPR404).
 
-The queue itself is a plain bounded FIFO: admission control decides
-*whether* work enters, the queue only decides *when* it runs.  A
-full queue refuses immediately (:class:`QueueFull`, HTTP 503) —
-backpressure by rejection, mirroring the live bus's shed-don't-block
-policy.
+The queue itself is a plain bounded FIFO: it only decides *when*
+work runs.  A full queue refuses immediately (:class:`QueueFull`,
+HTTP 503) — backpressure by rejection, mirroring the live bus's
+shed-don't-block policy.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from typing import TYPE_CHECKING, Any
 from ..obs.live import event_to_record
 from ..obs.trace import Stopwatch
 from .protocol import (
-    CANCELLED,
     JOB_SCHEMA,
     QUEUED,
     RUNNING,
@@ -49,21 +47,17 @@ class Job:
         job_id: str,
         request: JobRequest,
         fingerprint: str,
-        cost: float,
-        state: str = QUEUED,
     ) -> None:
         self.job_id = job_id
         self.request = request
         self.fingerprint = fingerprint
-        self.cost = cost
         #: guards every mutable field below; notify_all on any change
         self.cond = threading.Condition()
-        self.state = state
+        self.state = QUEUED
         self.events: "list[Any]" = []
         self.result: "dict[str, Any] | None" = None
         self.error: "str | None" = None
         self.run_id: "str | None" = None
-        self.cache_hit = False
         #: submissions answered by this job beyond the first
         self.coalesced = 0
         self.cancel_requested = False
@@ -110,9 +104,9 @@ class Job:
                 handle.cancel(0)
 
     def mark_running(self) -> bool:
-        """QUEUED -> RUNNING; false when the job was cancelled first."""
+        """QUEUED -> RUNNING; false when cancellation came first."""
         with self.cond:
-            if self.state != QUEUED:
+            if self.state != QUEUED or self.cancel_requested:
                 return False
             self.state = RUNNING
             self.stopwatch = Stopwatch()
@@ -144,20 +138,17 @@ class Job:
         return default
 
     def request_cancel(self) -> bool:
-        """Ask the job to stop; true when the request was accepted.
+        """Ask a claimed job to stop; true when the request was accepted.
 
-        A queued job is cancelled immediately; a running job gets its
-        fan-out cancel token set and reaches ``cancelled`` at its next
-        progress publication.  Terminal jobs refuse.
+        A job a worker has popped never starts (:meth:`mark_running`
+        refuses); a running job gets its fan-out cancel token set and
+        reaches ``cancelled`` at its next progress publication.
+        Terminal jobs refuse.
         """
         with self.cond:
             if self.state in TERMINAL_STATES:
                 return False
             self.cancel_requested = True
-            if self.state == QUEUED:
-                self.state = CANCELLED
-                self.cond.notify_all()
-                return True
             if self.handle is not None:
                 self.handle.cancel(0)
             return True
@@ -171,8 +162,6 @@ class Job:
                 "id": self.job_id,
                 "state": self.state,
                 "fingerprint": self.fingerprint,
-                "cost": self.cost,
-                "cache_hit": self.cache_hit,
                 "coalesced": self.coalesced,
                 "events": len(self.events),
                 "request": {

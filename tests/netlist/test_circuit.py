@@ -3,11 +3,13 @@
 import pytest
 
 from repro.netlist import (
+    Axis,
     Circuit,
     CircuitError,
     Device,
     DeviceType,
     Net,
+    OrderingChain,
     SymmetryGroup,
 )
 
@@ -92,6 +94,31 @@ def test_validate_device_in_two_groups():
         SymmetryGroup("g2", pairs=(("A", "C"),)))
     with pytest.raises(CircuitError, match="more than one"):
         c.validate()
+
+
+def test_validate_cyclic_ordering_chains():
+    c = Circuit("c")
+    for name in ("A", "B", "C"):
+        c.add_device(_mos(name))
+    c.constraints.orderings.append(OrderingChain(("A", "B")))
+    c.constraints.orderings.append(OrderingChain(("B", "C")))
+    c.validate()  # one order split over two chains is fine
+    c.constraints.orderings.append(OrderingChain(("C", "A")))
+    with pytest.raises(CircuitError, match="cyclic") as info:
+        c.validate()
+    message = str(info.value)
+    assert "'A'" in message and "'B'" in message and "'C'" in message
+
+
+def test_validate_opposite_orderings_on_different_axes():
+    c = Circuit("c")
+    for name in ("A", "B"):
+        c.add_device(_mos(name))
+    c.constraints.orderings.append(
+        OrderingChain(("A", "B"), axis=Axis.VERTICAL))
+    c.constraints.orderings.append(
+        OrderingChain(("B", "A"), axis=Axis.HORIZONTAL))
+    c.validate()
 
 
 def test_empty_circuit_invalid():

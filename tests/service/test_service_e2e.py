@@ -8,10 +8,10 @@ reason to exist:
 
 * an HTTP job is **bit-identical** to a direct :func:`repro.api.place`
   call with the same request;
-* duplicate submissions coalesce to **one** execution and one
-  registry run;
-* over-budget work is refused with 429 + ``Retry-After``; a full
-  queue refuses with 503;
+* duplicate submissions — in flight or after completion — coalesce
+  to **one** execution and one registry run, until the record is
+  evicted or the job fails or is cancelled;
+* a full queue refuses with 503 + ``Retry-After``;
 * cancellation lands mid-run through the fork bridge's cancel token;
 * the NDJSON event stream round-trips through
   :func:`repro.obs.live.event_from_record` into the same canonical
@@ -21,6 +21,7 @@ reason to exist:
 from __future__ import annotations
 
 import json
+import sys
 import time
 import threading
 import urllib.error
@@ -35,7 +36,7 @@ from repro.circuits import make
 from repro.obs import live
 from repro.obs.registry import RunRegistry
 from repro.placement.io import placement_to_dict
-from repro.service import ServiceConfig, make_server
+from repro.service import PlacementService, ServiceConfig, app, make_server
 
 #: request params that keep an xu-ispd19 run under a second
 _FAST_XU = {"stages": 2, "cg_iterations": 20}
@@ -147,35 +148,117 @@ def test_duplicate_submissions_share_one_execution(tmp_path):
         # ...so exactly one execution reached the registry
         assert len(run_ids(tmp_path)) == 1
 
-        # a post-completion repeat answers from the cache: a fresh job
-        # record, but the same result and still only one registry run
+        # a post-completion repeat answers with the same done job:
+        # same id, same result, and still only one registry run
         status3, doc3, _ = request("POST", f"{base}/jobs", body)
         assert status3 == 200
-        assert doc3["cache_hit"] is True
-        assert doc3["id"] != doc1["id"]
+        assert doc3["deduped"] is True
+        assert doc3["id"] == doc1["id"]
         assert doc3["result"] == done["result"]
+        assert doc3["coalesced"] == 2
         assert len(run_ids(tmp_path)) == 1
         _, stats, _ = request("GET", f"{base}/stats")
         assert stats["submitted"] == 1
-        assert stats["coalesced"] == 1
-        assert stats["cache_hits"] == 1
+        assert stats["coalesced"] == 2
+
+
+def test_evicted_job_reexecutes_on_resubmit(tmp_path):
+    with service_server(tmp_path) as (base, service):
+        body = {"circuit": "comp1", "method": "xu-ispd19", "seed": 10,
+                "params": _FAST_XU}
+        _, doc1, _ = request("POST", f"{base}/jobs", body)
+        wait_for(base, doc1["id"], ("done",))
+        status, gone, _ = request("DELETE", f"{base}/jobs/{doc1['id']}")
+        assert (status, gone["state"]) == (200, "evicted")
+        assert doc1["fingerprint"] not in service._by_fingerprint
+
+        status2, doc2, _ = request("POST", f"{base}/jobs", body)
+        assert status2 == 202
+        assert doc2["id"] != doc1["id"]
+        assert "deduped" not in doc2
+        wait_for(base, doc2["id"], ("done",))
+        assert len(run_ids(tmp_path)) == 2
+
+
+def test_retention_trimmed_job_reexecutes(tmp_path, monkeypatch):
+    monkeypatch.setattr(app, "RETAIN_JOBS", 1)
+    with service_server(tmp_path) as (base, service):
+        first = {"circuit": "comp1", "method": "xu-ispd19", "seed": 12,
+                 "params": _FAST_XU}
+        second = dict(first, seed=13)
+        _, doc1, _ = request("POST", f"{base}/jobs", first)
+        wait_for(base, doc1["id"], ("done",))
+        _, doc2, _ = request("POST", f"{base}/jobs", second)
+        wait_for(base, doc2["id"], ("done",))
+        # keeping one record trimmed the first job out of the index
+        assert request("GET", f"{base}/jobs/{doc1['id']}")[0] == 410
+        assert set(service._by_fingerprint) == {doc2["fingerprint"]}
+
+        status3, doc3, _ = request("POST", f"{base}/jobs", first)
+        assert status3 == 202
+        assert doc3["id"] not in (doc1["id"], doc2["id"])
+        wait_for(base, doc3["id"], ("done",))
+        assert len(run_ids(tmp_path)) == 3
+        _, stats, _ = request("GET", f"{base}/stats")
+        assert stats["evicted"] == 2
+        assert stats["coalesced"] == 0
+
+
+def test_concurrent_duplicates_coalesce_onto_one_job(tmp_path):
+    # socket-free and never started: the race is inside submit() alone
+    service = PlacementService(ServiceConfig(
+        runs_root=str(tmp_path / "runs"), queue_depth=64,
+    ))
+    body = {"circuit": "comp1", "method": "xu-ispd19", "seed": 14,
+            "params": _FAST_XU}
+    results = []
+    threads = [
+        threading.Thread(
+            target=lambda: results.append(service.submit(dict(body)))
+        )
+        for _ in range(16)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(status for status, _, _ in results) == \
+        [200] * 15 + [202]
+    job_ids = {doc["id"] for _, doc, _ in results}
+    assert len(job_ids) == 1
+    assert service.stats["coalesced"] == 15
+    assert service.get_job(job_ids.pop()).coalesced == 15
+
+
+def test_crashed_job_fails_and_leaves_the_index(tmp_path, monkeypatch):
+    body = {"circuit": "comp1", "method": "xu-ispd19", "seed": 15,
+            "params": _FAST_XU}
+    with service_server(tmp_path) as (base, service):
+        def broken_create(*args, **kwargs):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(service.registry, "create", broken_create)
+        _, doc, _ = request("POST", f"{base}/jobs", body)
+        final = wait_for(base, doc["id"], ("failed", "done"))
+        assert final["state"] == "failed"
+        assert "no space left" in final["error"]
+        assert doc["fingerprint"] not in service._by_fingerprint
+
+        # the worker survived and the repeat executes afresh
+        monkeypatch.undo()
+        status, doc2, _ = request("POST", f"{base}/jobs", body)
+        assert status == 202
+        assert wait_for(base, doc2["id"], ("done",))["state"] == "done"
 
 
 # ---------------------------------------------------------------------------
-# admission control and backpressure
-
-
-def test_over_budget_job_gets_429_with_retry_after(tmp_path):
-    with service_server(tmp_path, max_cost=1.0) as (base, _service):
-        status, doc, headers = request("POST", f"{base}/jobs", {
-            "circuit": "comp1", "method": "annealing", "seed": 1,
-        })
-        assert status == 429
-        assert "budget" in doc["error"]
-        assert int(headers["Retry-After"]) >= 1
-        _, stats, _ = request("GET", f"{base}/stats")
-        assert stats["rejected_cost"] == 1
-        assert len(run_ids(tmp_path)) == 0
+# backpressure
 
 
 def test_full_queue_gets_503(tmp_path):
@@ -209,7 +292,7 @@ def test_full_queue_gets_503(tmp_path):
 
 
 def test_cancel_lands_mid_run(tmp_path):
-    with service_server(tmp_path) as (base, _service):
+    with service_server(tmp_path) as (base, service):
         _, doc, _ = request("POST", f"{base}/jobs", {
             "circuit": "comp1", "method": "annealing", "seed": 2,
             "params": _SLOW_SA,
@@ -222,6 +305,8 @@ def test_cancel_lands_mid_run(tmp_path):
         assert cancelled["id"] == doc["id"]
         final = wait_for(base, doc["id"], ("cancelled", "done"))
         assert final["state"] == "cancelled"
+        # a cancelled job leaves the dedupe index
+        assert doc["fingerprint"] not in service._by_fingerprint
         # the interrupted run still reached the registry, finalized
         registry = RunRegistry(tmp_path / "runs")
         run = registry.list_runs()[-1]
@@ -229,7 +314,7 @@ def test_cancel_lands_mid_run(tmp_path):
 
 
 def test_per_job_timeout_fails_the_job(tmp_path):
-    with service_server(tmp_path) as (base, _service):
+    with service_server(tmp_path) as (base, service):
         _, doc, _ = request("POST", f"{base}/jobs", {
             "circuit": "comp1", "method": "annealing", "seed": 3,
             "params": _SLOW_SA, "timeout_s": 0.5,
@@ -238,6 +323,8 @@ def test_per_job_timeout_fails_the_job(tmp_path):
                          ("failed", "done", "cancelled"))
         assert final["state"] == "failed"
         assert "timed out" in final["error"]
+        # a failed job leaves the dedupe index
+        assert doc["fingerprint"] not in service._by_fingerprint
         _, stats, _ = request("GET", f"{base}/stats")
         assert stats["timeouts"] == 1
 
@@ -245,7 +332,7 @@ def test_per_job_timeout_fails_the_job(tmp_path):
 def test_cancel_while_queued_never_executes(tmp_path):
     with service_server(
         tmp_path, workers=1, queue_depth=4
-    ) as (base, _service):
+    ) as (base, service):
         _, blocker, _ = request("POST", f"{base}/jobs", {
             "circuit": "comp1", "method": "annealing", "seed": 4,
             "params": _SLOW_SA,
@@ -262,6 +349,7 @@ def test_cancel_while_queued_never_executes(tmp_path):
         assert status == 200
         assert doc["state"] == "cancelled"
         assert "run_id" not in doc  # never reached a worker
+        assert queued["fingerprint"] not in service._by_fingerprint
         request("DELETE", f"{base}/jobs/{blocker['id']}")
         wait_for(base, blocker["id"], ("cancelled", "done"))
 
