@@ -24,31 +24,31 @@ import numpy as np
 
 
 def bell_profile(
-    d: np.ndarray, size: float, bin_size: float
+    d: np.ndarray, size: float | np.ndarray, bin_size: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Bell value and derivative w.r.t. signed distance ``d``.
 
     ``d`` may be signed; the bell is even, so the derivative is odd.
+    ``size`` is one device size or an array that broadcasts against
+    ``d`` (e.g. ``(n, 1)`` sizes against ``(n, bins)`` distances).
     """
     ad = np.abs(d)
-    sign = np.sign(d)
     knee = size / 2 + bin_size
     cutoff = size / 2 + 2 * bin_size
     a = 4.0 / ((size + 2 * bin_size) * (size + 4 * bin_size))
     b = 2.0 / (bin_size * (size + 4 * bin_size))
 
-    value = np.zeros_like(ad)
-    deriv = np.zeros_like(ad)
-
     inner = ad <= knee
-    value[inner] = 1.0 - a * ad[inner] ** 2
-    deriv[inner] = -2.0 * a * ad[inner]
-
-    outer = (ad > knee) & (ad <= cutoff)
-    value[outer] = b * (ad[outer] - cutoff) ** 2
-    deriv[outer] = 2.0 * b * (ad[outer] - cutoff)
-
-    return value, deriv * sign
+    outer = ad <= cutoff  # only consulted where ``inner`` is false
+    value = np.where(
+        inner, 1.0 - a * ad ** 2,
+        np.where(outer, b * (ad - cutoff) ** 2, 0.0),
+    )
+    deriv = np.where(
+        inner, -2.0 * a * ad,
+        np.where(outer, 2.0 * b * (ad - cutoff), 0.0),
+    )
+    return value, deriv * np.sign(d)
 
 
 class BellDensityGrid:
@@ -74,16 +74,6 @@ class BellDensityGrid:
         self.centers_y = (np.arange(self.bins) + 0.5) * self.hy
         self.target = self.areas.sum() / (self.bins * self.bins)
 
-    def _windows(self, xc: float, yc: float, i: int):
-        """Bin index ranges covered by device i's bell support."""
-        rx = self.widths[i] / 2 + 2 * self.hx
-        ry = self.heights[i] / 2 + 2 * self.hy
-        bx0 = max(int((xc - rx) / self.hx), 0)
-        bx1 = min(int(np.ceil((xc + rx) / self.hx)), self.bins)
-        by0 = max(int((yc - ry) / self.hy), 0)
-        by1 = min(int(np.ceil((yc + ry) / self.hy)), self.bins)
-        return bx0, max(bx1, bx0), by0, max(by1, by0)
-
     def penalty_and_grad(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -91,44 +81,35 @@ class BellDensityGrid:
 
         The device's bell mass is normalised so its total deposited area
         equals the true device area (NTUplace3's :math:`c_i` factor).
+
+        All devices go through one array pass over per-axis ``(n, bins)``
+        profile matrices: row ``i`` of ``px`` is device ``i``'s bell over
+        every x-bin centre, exactly zero beyond its support, so
+        ``density[bx, by] = sum_i c_i px[i, bx] py[i, by]`` is one
+        matmul.  The gradient factorises the same way:
+        ``dP/dx_i = 2 c_i dpx[i] @ resid @ py[i]``, with the normalisation
+        :math:`c_i` held constant (it is not differentiated).
         """
-        n = len(x)
-        density = np.full((self.bins, self.bins), 0.0)
-        # cache per-device window data for the gradient pass
-        cache = []
-        for i in range(n):
-            bx0, bx1, by0, by1, px, dpx, py, dpy, c = self._device_bells(
-                float(x[i]), float(y[i]), i
-            )
-            if px.size == 0 or py.size == 0:
-                cache.append(None)
-                continue
-            density[bx0:bx1, by0:by1] += c * np.outer(px, py)
-            cache.append((bx0, bx1, by0, by1, px, dpx, py, dpy, c))
+        # d(profile)/d(xc): distance d = xc - center, so same sign
+        px, dpx = bell_profile(
+            x[:, None] - self.centers_x[None, :],
+            self.widths[:, None], self.hx,
+        )
+        py, dpy = bell_profile(
+            y[:, None] - self.centers_y[None, :],
+            self.heights[:, None], self.hy,
+        )
+        totals = px.sum(axis=1) * py.sum(axis=1)
+        c = np.where(
+            totals > 0,
+            self.areas / np.where(totals > 0, totals, 1.0),
+            0.0,
+        )
+        density = (c[:, None] * px).T @ py
 
         resid = density - self.target
         penalty = float((resid ** 2).sum())
 
-        grad_x = np.zeros(n)
-        grad_y = np.zeros(n)
-        for i in range(n):
-            if cache[i] is None:
-                continue
-            bx0, bx1, by0, by1, px, dpx, py, dpy, c = cache[i]
-            window = resid[bx0:bx1, by0:by1]
-            grad_x[i] = 2.0 * c * float(np.einsum(
-                "xy,x,y->", window, dpx, py))
-            grad_y[i] = 2.0 * c * float(np.einsum(
-                "xy,x,y->", window, px, dpy))
+        grad_x = 2.0 * c * ((dpx @ resid) * py).sum(axis=1)
+        grad_y = 2.0 * c * ((px @ resid) * dpy).sum(axis=1)
         return penalty, grad_x, grad_y
-
-    def _device_bells(self, xc: float, yc: float, i: int):
-        bx0, bx1, by0, by1 = self._windows(xc, yc, i)
-        dx = xc - self.centers_x[bx0:bx1]
-        dy = yc - self.centers_y[by0:by1]
-        px, dpx_d = bell_profile(dx, self.widths[i], self.hx)
-        py, dpy_d = bell_profile(dy, self.heights[i], self.hy)
-        # d(profile)/d(xc): distance d = xc - center, so same sign
-        total = px.sum() * py.sum()
-        c = self.areas[i] / total if total > 0 else 0.0
-        return bx0, bx1, by0, by1, px, dpx_d, py, dpy_d, c

@@ -37,12 +37,14 @@ def _armijo(
     alpha0: float,
     c1: float = 1e-4,
     max_halvings: int = 20,
-) -> tuple[np.ndarray, float, float, int]:
+) -> tuple[np.ndarray, float, np.ndarray, float, int]:
     """Backtracking line search.
 
-    Returns ``(v_new, value_new, alpha, halvings)`` where ``halvings``
-    counts the backtracking steps the search needed — zero means the
-    doubled previous step was immediately acceptable.
+    Returns ``(v_new, value_new, grad_new, alpha, halvings)`` where
+    ``grad_new`` is the gradient the objective returned at ``v_new``
+    (so the caller never re-evaluates the accepted point) and
+    ``halvings`` counts the backtracking steps the search needed — zero
+    means the doubled previous step was immediately acceptable.
     """
     slope = float(np.dot(grad, direction))
     if slope >= 0.0:  # not a descent direction: fall back to steepest
@@ -51,13 +53,13 @@ def _armijo(
     alpha = alpha0
     for halvings in range(max_halvings):
         candidate = v + alpha * direction
-        value_c, _ = objective(candidate)
+        value_c, grad_c = objective(candidate)
         if value_c <= value + c1 * alpha * slope:
-            return candidate, value_c, alpha, halvings
+            return candidate, value_c, grad_c, alpha, halvings
         alpha *= 0.5
     candidate = v + alpha * direction
-    value_c, _ = objective(candidate)
-    return candidate, value_c, alpha, max_halvings
+    value_c, grad_c = objective(candidate)
+    return candidate, value_c, grad_c, alpha, max_halvings
 
 
 def conjugate_gradient(
@@ -72,7 +74,9 @@ def conjugate_gradient(
 
     The initial line-search step adapts: each iteration starts from
     twice the previous accepted step, which keeps the search cheap once
-    the scale of the landscape is known.
+    the scale of the landscape is known.  The objective runs once per
+    line-search trial (plus once at ``v0``): the accepted step reuses
+    the gradient its trial already returned.
 
     ``callback``, when given, is invoked after every *accepted* step as
     ``callback(iteration, value, grad_norm, step_length, halvings,
@@ -91,7 +95,7 @@ def conjugate_gradient(
         grad_norm = float(np.linalg.norm(grad))
         if grad_norm < tol:
             return CGResult(v, value, grad_norm, iteration - 1, True)
-        v_new, value_new, alpha_used, halvings = _armijo(
+        v_new, value_new, grad_new, alpha_used, halvings = _armijo(
             objective, v, value, grad, direction, alpha
         )
         if not np.isfinite(value_new) or value_new > value:
@@ -100,7 +104,6 @@ def conjugate_gradient(
             alpha = max(alpha * 0.25, 1e-15)
             restarts += 1
             continue
-        _, grad_new = objective(v_new)
         if callback is not None:
             callback(
                 iteration, value_new,

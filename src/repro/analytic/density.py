@@ -78,52 +78,17 @@ class DensityGrid:
         self.edges_y = np.linspace(0.0, self.region_h, self.bins + 1)
 
     # ------------------------------------------------------------------
-    def _device_window(self, xc: float, yc: float, i: int):
-        """Covered bin index range and 1-D overlap weights for device i.
-
-        Device extents are clamped to the region so every device always
-        deposits its full charge somewhere.
-        """
-        half_w, half_h = self.widths[i] / 2, self.heights[i] / 2
-        xlo = np.clip(xc - half_w, 0.0, self.region_w - 1e-12)
-        xhi = np.clip(xc + half_w, xlo + 1e-12, self.region_w)
-        ylo = np.clip(yc - half_h, 0.0, self.region_h - 1e-12)
-        yhi = np.clip(yc + half_h, ylo + 1e-12, self.region_h)
-
-        bx0 = int(xlo / self.hx)
-        bx1 = min(int(np.ceil(xhi / self.hx)), self.bins)
-        by0 = int(ylo / self.hy)
-        by1 = min(int(np.ceil(yhi / self.hy)), self.bins)
-
-        ex = self.edges_x
-        ov_x = np.minimum(xhi, ex[bx0 + 1:bx1 + 1]) - np.maximum(
-            xlo, ex[bx0:bx1]
-        )
-        ey = self.edges_y
-        ov_y = np.minimum(yhi, ey[by0 + 1:by1 + 1]) - np.maximum(
-            ylo, ey[by0:by1]
-        )
-        ov_x = np.clip(ov_x, 0.0, None)
-        ov_y = np.clip(ov_y, 0.0, None)
-        # rescale so the clamped footprint still deposits the full area
-        sum_x, sum_y = ov_x.sum(), ov_y.sum()
-        if sum_x > 0:
-            ov_x *= self.widths[i] / sum_x
-        if sum_y > 0:
-            ov_y *= self.heights[i] / sum_y
-        return bx0, bx1, by0, by1, ov_x, ov_y
-
     def _overlap_matrices(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis bin overlaps for *all* devices: two ``(n, bins)``
         matrices.
 
-        Row ``i`` holds the same overlap weights
-        :meth:`_device_window` computes for device ``i`` (zero outside
-        its covered window — bins beyond the window clamp to a
-        non-positive overlap, which the clip removes), so the batched
-        kernels below are algebraically identical to the loop kernel.
+        Row ``i`` holds device ``i``'s clamped overlap with every bin
+        (zero outside its covered window — bins beyond the window clamp
+        to a non-positive overlap, which the clip removes), so the
+        kernels below are algebraically identical to a per-device loop
+        over covered windows (the reference in ``tests/reference``).
         """
         half_w, half_h = self.widths / 2, self.heights / 2
         xlo = np.clip(x - half_w, 0.0, self.region_w - 1e-12)
@@ -158,25 +123,11 @@ class DensityGrid:
 
         One matmul over the per-axis overlap matrices:
         ``grid[bx, by] = sum_i ov_x[i, bx] * ov_y[i, by]`` — each
-        device's contribution is the outer product the loop kernel
-        deposits, summed over devices in a single pass.
+        device's contribution is the outer product of its two overlap
+        rows, summed over devices in a single pass.
         """
         ov_x, ov_y = self._overlap_matrices(x, y)
         return ov_x.T @ ov_y
-
-    def rasterize_loop(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Reference per-device loop kernel (see :meth:`rasterize`).
-
-        Kept for regression tests: the vectorised kernel must agree
-        with this one to numerical round-off.
-        """
-        grid = np.zeros((self.bins, self.bins))
-        for i in range(len(x)):
-            bx0, bx1, by0, by1, ov_x, ov_y = self._device_window(
-                float(x[i]), float(y[i]), i
-            )
-            grid[bx0:bx1, by0:by1] += np.outer(ov_x, ov_y)
-        return grid
 
     # ------------------------------------------------------------------
     def energy_and_grad(
@@ -211,40 +162,6 @@ class DensityGrid:
 
         overflow = self._overflow(rho)
         return energy, grad_x, grad_y, overflow
-
-    def energy_and_grad_loop(
-        self, x: np.ndarray, y: np.ndarray
-    ) -> tuple[float, np.ndarray, np.ndarray, float]:
-        """Reference per-device loop kernel (see :meth:`energy_and_grad`).
-
-        Kept for regression tests: the vectorised kernel must agree
-        with this one to numerical round-off.
-        """
-        charge = self.rasterize_loop(x, y)
-        rho = charge / self.bin_area
-        rho_neutral = rho - rho.mean()
-        psi = poisson_solve_dct(rho_neutral, self.hx, self.hy)
-        dpsi_dx, dpsi_dy = np.gradient(psi, self.hx, self.hy)
-
-        energy = 0.0
-        grad_x = np.zeros_like(x)
-        grad_y = np.zeros_like(y)
-        for i in range(len(x)):
-            bx0, bx1, by0, by1, ov_x, ov_y = self._device_window(
-                float(x[i]), float(y[i]), i
-            )
-            weights = np.outer(ov_x, ov_y)
-            total = weights.sum()
-            if total <= 0:
-                continue
-            weights = weights / total
-            win = (slice(bx0, bx1), slice(by0, by1))
-            psi_i = float((psi[win] * weights).sum())
-            energy += 0.5 * self.areas[i] * psi_i
-            grad_x[i] = self.areas[i] * float((dpsi_dx[win] * weights).sum())
-            grad_y[i] = self.areas[i] * float((dpsi_dy[win] * weights).sum())
-
-        return float(energy), grad_x, grad_y, self._overflow(rho)
 
     def _overflow(self, rho: np.ndarray) -> float:
         """Fraction of device area above the uniform target density."""

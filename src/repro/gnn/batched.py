@@ -26,10 +26,11 @@ matmuls:
 
 The per-sample / per-member loop implementations in
 :mod:`repro.gnn.model` and :mod:`repro.gnn.train` are **retained as
-the reference spec** (exactly as ``density.rasterize_loop`` anchors
-the vectorised density kernels): the agreement tests hold the batched
-kernels to the loop results within 1e-10 on forward values, parameter
-gradients and input-position gradients.
+the reference spec** (as the per-device loops in
+``tests/reference/density.py`` anchor the vectorised density kernels):
+the agreement tests hold the batched kernels to the loop results within
+1e-10 on forward values, parameter gradients and input-position
+gradients.
 
 :class:`FeatureCache` completes the batch pipeline: adversarial
 hardening rounds grow the dataset by appending samples, so re-encoding

@@ -484,7 +484,17 @@ def _build_model(
 
 
 def _score(placement: Placement, params: DetailedParams) -> float:
-    """The (4a) objective evaluated exactly, for accept/reject tests."""
+    """Accept/reject score: weighted HPWL plus the (4a) area term, in µm.
+
+    Computes ``hpwl + mu * W~ * (bw + bh) / 2`` with the net-weighted
+    HPWL, the pseudo-extent ``W~`` and the bounding box ``bw x bh``,
+    all in µm.  This is *not* proportional to the MILP's objective:
+    the MILP states the area term in grid steps (``W~ / grid`` times
+    the outline in steps), which weights area ``1 / grid`` times more
+    heavily against HPWL, and it uses the outline from the origin
+    rather than the bounding box.  A candidate the MILP rates better
+    can therefore score worse here.
+    """
     m = summarize(placement)
     pseudo = float(np.sqrt(
         placement.circuit.total_device_area() / params.zeta
@@ -575,7 +585,7 @@ def refine_directions(
     """Large-neighbourhood direction refinement.
 
     Each round frees a random subset of the nearest pairs (big-M
-    disjunctions) and keeps the solution when the exact objective
+    disjunctions) and keeps the solution when :func:`_score`
     improves.  Returns the best placement and the number of improving
     rounds.
     """

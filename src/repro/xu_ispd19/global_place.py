@@ -11,6 +11,7 @@ cited difference, lives in the detailed placers).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,14 @@ class XuParams:
             raise ValueError("utilization must be in (0, 1]")
         if self.stages < 1 or self.cg_iterations < 1:
             raise ValueError("stages and cg_iterations must be positive")
+        if self.bins < 1:
+            raise ValueError(f"bins must be >= 1, got {self.bins}")
+        for name in ("gamma_scale", "lambda_init_ratio", "lambda_mult"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(
+                    f"{name} must be finite and > 0, got {value}"
+                )
 
 
 class XuGlobalPlacer:

@@ -5,6 +5,10 @@ import pytest
 
 from repro.analytic import BellDensityGrid, DensityGrid, bell_profile, \
     poisson_solve_dct
+from repro.analytic.gradcheck import max_grad_error
+
+from ..reference.bell import penalty_and_grad_loop
+from ..reference.density import energy_and_grad_loop, rasterize_loop
 
 
 class TestPoissonSolve:
@@ -75,7 +79,8 @@ class TestVectorizedKernelAgreement:
     """The batched matmul kernels vs the per-device reference loops.
 
     The vectorised ``rasterize``/``energy_and_grad`` must reproduce
-    ``rasterize_loop``/``energy_and_grad_loop`` to numerical round-off
+    ``tests.reference.density``'s ``rasterize_loop`` /
+    ``energy_and_grad_loop`` to numerical round-off
     (summation order differs, exact bitwise equality is not expected);
     the fixtures cover in-region, clamped-stray and degenerate cases.
     """
@@ -95,13 +100,13 @@ class TestVectorizedKernelAgreement:
     def test_rasterize_matches_loop(self):
         for grid, x, y in self._fixtures():
             fast = grid.rasterize(x, y)
-            ref = grid.rasterize_loop(x, y)
+            ref = rasterize_loop(grid, x, y)
             assert np.abs(fast - ref).max() < 1e-10
 
     def test_energy_and_grad_match_loop(self):
         for grid, x, y in self._fixtures():
             e_f, gx_f, gy_f, of_f = grid.energy_and_grad(x, y)
-            e_r, gx_r, gy_r, of_r = grid.energy_and_grad_loop(x, y)
+            e_r, gx_r, gy_r, of_r = energy_and_grad_loop(grid, x, y)
             scale = max(abs(e_r), 1.0)
             assert abs(e_f - e_r) < 1e-10 * scale
             assert np.abs(gx_f - gx_r).max() < 1e-10
@@ -160,3 +165,83 @@ class TestBellDensity:
         _, gx, _ = grid.penalty_and_grad(x, y)
         assert gx[0] > 0.0
         assert gx[1] < 0.0
+
+
+def _bell_profiles(grid, x, y):
+    """Per-axis ``(n, bins)`` bell matrices, built from the public
+    profile function (independent of the kernel's own pass)."""
+    px, _ = bell_profile(x[:, None] - grid.centers_x[None, :],
+                         grid.widths[:, None], grid.hx)
+    py, _ = bell_profile(y[:, None] - grid.centers_y[None, :],
+                         grid.heights[:, None], grid.hy)
+    return px, py
+
+
+class TestBellKernel:
+    """The one-pass bell kernel vs the per-device windowed reference,
+    and its gradient vs finite differences."""
+
+    def _fixtures(self):
+        rng = np.random.default_rng(7)
+        for bins in (8, 16, 32):
+            for n, rw, rh in [(1, 6.0, 6.0), (9, 12.0, 9.0),
+                              (24, 20.0, 20.0)]:
+                widths = rng.uniform(0.4, 3.0, n)
+                heights = rng.uniform(0.4, 3.0, n)
+                grid = BellDensityGrid(widths, heights, rw, rh, bins=bins)
+                inside_x = rng.uniform(0.2 * rw, 0.8 * rw, n)
+                inside_y = rng.uniform(0.2 * rh, 0.8 * rh, n)
+                yield "inside", grid, inside_x, inside_y
+                # straddling the region edges: part of the bell is cut
+                yield "straddle", grid, \
+                    rng.choice([0.0, rw], n) + rng.uniform(-1.0, 1.0, n), \
+                    rng.choice([0.0, rh], n) + rng.uniform(-1.0, 1.0, n)
+                # the first third is parked far outside the region
+                far_x, far_y = inside_x.copy(), inside_y.copy()
+                k = max(n // 3, 1)
+                far_x[:k] = -(widths[:k] + 5.0 * grid.hx + 3.0)
+                far_y[:k] = rh + heights[:k] + 5.0 * grid.hy + 3.0
+                yield "outside", grid, far_x, far_y
+
+    def test_matches_windowed_loop(self):
+        for kind, grid, x, y in self._fixtures():
+            pen, gx, gy = grid.penalty_and_grad(x, y)
+            pen_r, gx_r, gy_r = penalty_and_grad_loop(grid, x, y)
+            assert abs(pen - pen_r) <= 1e-12 * abs(pen_r), kind
+            for fast, ref in ((gx, gx_r), (gy, gy_r)):
+                scale = max(float(np.abs(ref).max()), 1e-300)
+                assert np.abs(fast - ref).max() <= 1e-12 * scale, kind
+
+    def test_outside_devices_deposit_nothing(self):
+        for kind, grid, x, y in self._fixtures():
+            if kind != "outside":
+                continue
+            k = max(len(x) // 3, 1)
+            _, gx, gy = grid.penalty_and_grad(x, y)
+            assert np.all(gx[:k] == 0.0) and np.all(gy[:k] == 0.0)
+            # moving the parked devices leaves the penalty unchanged
+            moved_x = x.copy()
+            moved_x[:k] -= 7.0
+            assert grid.penalty_and_grad(moved_x, y)[0] == \
+                grid.penalty_and_grad(x, y)[0]
+
+    def test_gradient_matches_finite_differences(self):
+        """The analytic gradient holds each device's normalisation
+        ``c_i`` constant, so it is checked against the penalty with
+        ``c`` frozen at the evaluation point."""
+        for kind, grid, x, y in self._fixtures():
+            n = len(x)
+            px, py = _bell_profiles(grid, x, y)
+            totals = px.sum(axis=1) * py.sum(axis=1)
+            c0 = np.where(totals > 0,
+                          grid.areas / np.where(totals > 0, totals, 1.0),
+                          0.0)
+
+            def fun_and_grad(v, grid=grid, c0=c0, n=n):
+                px, py = _bell_profiles(grid, v[:n], v[n:])
+                resid = (c0[:, None] * px).T @ py - grid.target
+                _, gx, gy = grid.penalty_and_grad(v[:n], v[n:])
+                return float((resid ** 2).sum()), np.concatenate([gx, gy])
+
+            err = max_grad_error(fun_and_grad, np.concatenate([x, y]))
+            assert err < 1e-6, kind

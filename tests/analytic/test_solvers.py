@@ -1,8 +1,12 @@
 """Nesterov and conjugate-gradient solver tests."""
 
 import numpy as np
+import pytest
 
 from repro.analytic import NesterovOptimizer, conjugate_gradient
+from repro.analytic import cg as cg_module
+
+from ..reference.cg import conjugate_gradient_two_eval
 
 
 def _quadratic(n=12, cond=50.0, seed=0):
@@ -116,3 +120,86 @@ class TestConjugateGradient:
                                     tol=1e-6)
         assert result.converged
         assert result.iterations == 0
+
+
+def _rosenbrock(v):
+    x, y = v
+    value = (1 - x) ** 2 + 100 * (y - x * x) ** 2
+    grad = np.array([
+        -2 * (1 - x) - 400 * x * (y - x * x),
+        200 * (y - x * x),
+    ])
+    return value, grad
+
+
+def _xu_objective():
+    """A real [11] global-placement objective (CC-OTA, first stage)."""
+    from repro.circuits import cc_ota
+    from repro.xu_ispd19 import XuGlobalPlacer
+
+    placer = XuGlobalPlacer(cc_ota())
+    x, y = placer.initial_positions()
+    fun = placer._objective(lam=5.0, tau=4.0)
+    return fun, np.concatenate([x, y]), placer.region / placer.params.bins
+
+
+_CG_CASES = {
+    "quadratic": lambda: (_quadratic()[0], np.full(12, 3.0), 1.0),
+    "rosenbrock": lambda: (_rosenbrock, np.array([-1.2, 1.0]), 1e-3),
+    "xu-cc-ota": _xu_objective,
+}
+
+
+class _Counted:
+    """Objective wrapper counting its evaluations."""
+
+    def __init__(self, fun):
+        self.fun = fun
+        self.calls = 0
+
+    def __call__(self, v):
+        self.calls += 1
+        return self.fun(v)
+
+
+class TestConjugateGradientEvaluations:
+    @pytest.mark.parametrize("case", sorted(_CG_CASES))
+    def test_one_evaluation_per_trial(self, case, monkeypatch):
+        """The objective runs once at ``v0`` and once per line-search
+        trial; nothing outside the line search evaluates it again."""
+        fun, v0, alpha0 = _CG_CASES[case]()
+        counted = _Counted(fun)
+        trials = []
+        armijo = cg_module._armijo
+
+        def counting_armijo(objective, *args, **kwargs):
+            def trial(v):
+                trials.append(1)
+                return objective(v)
+            return armijo(trial, *args, **kwargs)
+
+        monkeypatch.setattr(cg_module, "_armijo", counting_armijo)
+        accepted = []
+        conjugate_gradient(counted, v0, iterations=60, tol=1e-12,
+                           alpha0=alpha0,
+                           callback=lambda *a: accepted.append(a))
+        assert accepted
+        assert counted.calls == 1 + len(trials)
+
+    @pytest.mark.parametrize("case", sorted(_CG_CASES))
+    def test_matches_two_evaluation_reference(self, case):
+        """Reusing the accepted trial's gradient changes no iterate."""
+        fun, v0, alpha0 = _CG_CASES[case]()
+        fast_fun, ref_fun = _Counted(fun), _Counted(fun)
+        accepted = []
+        fast = conjugate_gradient(fast_fun, v0, iterations=60, tol=1e-12,
+                                  alpha0=alpha0,
+                                  callback=lambda *a: accepted.append(a))
+        ref = conjugate_gradient_two_eval(ref_fun, v0, iterations=60,
+                                          tol=1e-12, alpha0=alpha0)
+        assert fast.v.tobytes() == ref.v.tobytes()
+        assert fast.value == ref.value
+        assert fast.iterations == ref.iterations
+        assert fast.converged == ref.converged
+        # the reference pays one extra evaluation per accepted step
+        assert ref_fun.calls - fast_fun.calls == len(accepted)

@@ -2,7 +2,7 @@
 
 The batched kernels in ``repro.gnn.batched`` are held to the loop
 reference implementations within 1e-10 (the same contract as
-``density.rasterize_loop``), and every ``jobs`` fan-out must be
+``tests.reference.density.rasterize_loop``), and every ``jobs`` fan-out must be
 bit-identical to its sequential run.
 """
 

@@ -15,6 +15,24 @@ class TestParams:
         with pytest.raises(ValueError, match="stages"):
             XuParams(stages=0)
 
+    @pytest.mark.parametrize("bins", [0, -4])
+    def test_bad_bins(self, bins):
+        with pytest.raises(ValueError, match="bins"):
+            XuParams(bins=bins)
+
+    @pytest.mark.parametrize(
+        "name", ["gamma_scale", "lambda_init_ratio", "lambda_mult"])
+    @pytest.mark.parametrize(
+        "value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_positive_scalars(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            XuParams(**{name: value})
+
+    def test_smallest_valid_values_accepted(self):
+        params = XuParams(bins=1, gamma_scale=1e-9,
+                          lambda_init_ratio=1e-9, lambda_mult=1e-9)
+        assert params.bins == 1
+
 
 class TestGlobalPlacement:
     @pytest.fixture
