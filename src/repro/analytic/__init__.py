@@ -11,7 +11,7 @@ from .cg import CGResult, conjugate_gradient
 from .density import DensityGrid, poisson_solve_dct
 from .gradcheck import finite_difference_grad, max_grad_error
 from .lse import lse_wirelength
-from .nesterov import NesterovOptimizer, StepInfo
+from .nesterov import NesterovOptimizer, StepInfo, same_bits
 from .netarrays import NetArrays
 from .penalties import ConstraintPenalties
 from .wa import wa_wirelength
@@ -31,5 +31,6 @@ __all__ = [
     "lse_wirelength",
     "max_grad_error",
     "poisson_solve_dct",
+    "same_bits",
     "wa_wirelength",
 ]

@@ -4,9 +4,16 @@ ePlace [15] distinguishes itself from earlier analytical placers by
 solving the placement NLP with Nesterov's method [24]; the step length
 is predicted from a local Lipschitz estimate
 :math:`\\hat L = \\lVert \\nabla f(u_k) - \\nabla f(u_{k-1}) \\rVert /
-\\lVert u_k - u_{k-1} \\rVert` with backtracking, and the iteration
-restarts when the objective rises (adaptive restart, standard for
-non-convex placement landscapes).
+\\lVert u_k - u_{k-1} \\rVert`, and the iteration restarts when the
+objective rises (adaptive restart, standard for non-convex placement
+landscapes).
+
+The backtracking here is an Armijo test on the objective *value*:
+the predicted step is halved until
+:math:`f(v_{k+1}) \\le f(u_k) - \\tfrac14 \\alpha
+\\lVert \\nabla f(u_k) \\rVert^2`.  ePlace's own backtracking instead
+re-checks the Lipschitz prediction against the gradient at the trial
+point, which would change every placement this module produces.
 
 The optimiser is a *stepper*: callers invoke :meth:`step` once per
 placement iteration and may change the objective between steps (ePlace
@@ -31,7 +38,12 @@ class StepInfo:
     ``step_predicted`` is the inverse-Lipschitz step before the
     backtracking line search touched it and ``backtracks`` counts the
     halvings it took — together they say how often the local curvature
-    estimate overshoots (the health channel publishes both).
+    estimate overshoots (the health channel publishes both).  A search
+    that exhausts every trial reports ``backtrack + 1`` halvings.
+
+    ``frozen`` marks a step that had step length exactly 0 and left
+    both iterates bitwise unchanged: every later step repeats it, so
+    callers may stop (see :meth:`NesterovOptimizer.step`).
     """
 
     iteration: int
@@ -41,6 +53,12 @@ class StepInfo:
     restarted: bool
     step_predicted: float = 0.0
     backtracks: int = 0
+    frozen: bool = False
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """True when two float arrays are bitwise identical."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class NesterovOptimizer:
@@ -117,6 +135,7 @@ class NesterovOptimizer:
         if v_new is None:  # objective too rough locally: take tiny step
             v_new = self.projection(self.u - alpha * grad_u)
             value_new, _ = self.objective(v_new)
+            backtracks = self.backtrack + 1
 
         restarted = False
         if value_new > self._prev_value:
@@ -127,6 +146,19 @@ class NesterovOptimizer:
         a_next = (1.0 + np.sqrt(4.0 * self.a * self.a + 1.0)) / 2.0
         momentum = (self.a - 1.0) / a_next
         u_new = self.projection(v_new + momentum * (v_new - self.v))
+
+        # A zero step that moved neither iterate freezes the optimiser:
+        # the next Lipschitz estimate is ||u - u_prev|| / ||dg|| = 0 (or
+        # 2 * 0 when dg vanishes), whatever the objective has become,
+        # so every later step projects the same u with step 0, takes
+        # the same v and the same u (v - v_prev = 0 kills the momentum
+        # term), and the v returned after any number of further steps
+        # is bitwise this one.
+        frozen = (
+            alpha == 0.0
+            and same_bits(v_new, self.v)
+            and same_bits(u_new, self.u)
+        )
 
         self._prev_u = self.u
         self._prev_grad_u = grad_u
@@ -144,6 +176,7 @@ class NesterovOptimizer:
             restarted=restarted,
             step_predicted=alpha_predicted,
             backtracks=backtracks,
+            frozen=frozen,
         )
 
     # ------------------------------------------------------------------

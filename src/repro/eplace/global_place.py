@@ -21,6 +21,7 @@ from ..analytic import (
     NesterovOptimizer,
     NetArrays,
     area_term,
+    same_bits,
     wa_wirelength,
 )
 from ..netlist import Circuit
@@ -71,6 +72,8 @@ class EPlaceGlobalPlacer:
         self.bin_size = side / self.params.bins
         self._lambda = 0.0
         self._overflow = 1.0
+        # (x, y, terms) of the last _position_terms evaluation
+        self._memo: tuple[np.ndarray, np.ndarray, dict] | None = None
         self._hard_map = (
             HardSymmetryMap(circuit)
             if self.params.symmetry_mode == "hard"
@@ -94,6 +97,39 @@ class EPlaceGlobalPlacer:
         base = self.params.gamma_scale * self.bin_size
         return base * (1.0 + 19.0 * min(self._overflow, 1.0))
 
+    def _position_terms(self, x: np.ndarray, y: np.ndarray) -> dict:
+        """The objective terms that depend on ``(x, y)`` alone.
+
+        Density (energy, gradient, overflow) and the constraint
+        penalties, unweighted.  A one-entry memo keyed on the last
+        point evaluated (bitwise) returns them again: after an adaptive
+        restart the next reference point is the line search's accepted
+        trial, which was the last point evaluated.  The memoized arrays
+        are read-only, so no caller can change a later hit.
+        """
+        memo = self._memo
+        if memo is not None and same_bits(memo[0], x) \
+                and same_bits(memo[1], y):
+            return memo[2]
+        terms = self._eval_position_terms(x, y)
+        for term in terms.values():
+            for part in term:
+                if isinstance(part, np.ndarray):
+                    part.flags.writeable = False
+        self._memo = (x.copy(), y.copy(), terms)
+        return terms
+
+    def _eval_position_terms(self, x: np.ndarray, y: np.ndarray) -> dict:
+        """Uncached :meth:`_position_terms`: name -> (value, gx, gy[, ...])."""
+        with trace.timer("eplace.gp.density"):
+            terms = {"density": self.density.energy_and_grad(x, y)}
+        with trace.timer("eplace.gp.penalties"):
+            if self._hard_map is None:
+                terms["symmetry"] = self.penalties.symmetry(x, y)
+            terms["alignment"] = self.penalties.alignment(x, y)
+            terms["ordering"] = self.penalties.ordering(x, y)
+        return terms
+
     def _objective_xy(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -106,9 +142,8 @@ class EPlaceGlobalPlacer:
         value = value_w
         wl_gnorm = _grad_norm(gx, gy) if observing else 0.0
 
-        with trace.timer("eplace.gp.density"):
-            value_n, dgx, dgy, overflow = \
-                self.density.energy_and_grad(x, y)
+        terms = self._position_terms(x, y)
+        value_n, dgx, dgy, overflow = terms["density"]
         self._overflow = overflow
         value += self._lambda * value_n
         gx = gx + self._lambda * dgx
@@ -128,15 +163,14 @@ class EPlaceGlobalPlacer:
             gy += self._eta_scaled * agy
 
         value_s = 0.0
-        with trace.timer("eplace.gp.penalties"):
-            if self._hard_map is None:
-                tau = self._tau_scaled
-                value_s, sgx, sgy = self.penalties.symmetry(x, y)
-                value += tau * value_s
-                gx += tau * sgx
-                gy += tau * sgy
-            value_al, algx, algy = self.penalties.alignment(x, y)
-            value_o, ogx, ogy = self.penalties.ordering(x, y)
+        if self._hard_map is None:
+            tau = self._tau_scaled
+            value_s, sgx, sgy = terms["symmetry"]
+            value += tau * value_s
+            gx += tau * sgx
+            gy += tau * sgy
+        value_al, algx, algy = terms["alignment"]
+        value_o, ogx, ogy = terms["ordering"]
         value += p.align_weight * value_al + p.order_weight * value_o
         gx += p.align_weight * algx + p.order_weight * ogx
         gy += p.align_weight * algy + p.order_weight * ogy
@@ -262,6 +296,7 @@ class EPlaceGlobalPlacer:
         )
         history = []
         iterations = 0
+        stop_reason = "max_iters"
         recording = tracer.enabled or live.active()
         with tracer.span("eplace.gp.nesterov"):
             for iterations in range(1, p.max_iters + 1):
@@ -311,6 +346,11 @@ class EPlaceGlobalPlacer:
                     iterations >= p.min_iters
                     and self._overflow < p.overflow_stop
                 ):
+                    stop_reason = "overflow"
+                    break
+                if info.frozen:
+                    # later steps repeat this one (NesterovOptimizer.step)
+                    stop_reason = "frozen"
                     break
 
         if self._hard_map is None:
@@ -319,8 +359,8 @@ class EPlaceGlobalPlacer:
             x, y = self._hard_map.expand(optimizer.v)
         placement = Placement(self.circuit, x, y)
         logger.debug(
-            "eplace GP %s: %d iterations, overflow %.4f",
-            self.circuit.name, iterations, self._overflow,
+            "eplace GP %s: %d iterations, overflow %.4f, stopped: %s",
+            self.circuit.name, iterations, self._overflow, stop_reason,
         )
         return PlacerResult(
             placement=placement,
@@ -328,6 +368,7 @@ class EPlaceGlobalPlacer:
             method=f"eplace-gp[{p.symmetry_mode}]",
             stats={
                 "iterations": iterations,
+                "stop_reason": stop_reason,
                 "final_overflow": self._overflow,
                 "final_lambda": self._lambda,
                 "region": self.region,

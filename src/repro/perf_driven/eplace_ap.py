@@ -53,11 +53,17 @@ class EPlaceAPGlobalPlacer(EPlaceGlobalPlacer):
             * self._wl_norm0 / max(phi_norm, 1e-12)
         )
 
+    def _eval_position_terms(self, x: np.ndarray, y: np.ndarray) -> dict:
+        terms = super()._eval_position_terms(x, y)
+        terms["phi"] = self.perf_model.phi_and_grad(x, y)
+        return terms
+
     def _objective_xy(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
         value, gx, gy = super()._objective_xy(x, y)
-        phi, pgx, pgy = self.perf_model.phi_and_grad(x, y)
+        # the base objective just memoized this point's terms
+        phi, pgx, pgy = self._position_terms(x, y)["phi"]
         value += self._alpha_scaled * phi
         gx = gx + self._alpha_scaled * pgx
         gy = gy + self._alpha_scaled * pgy

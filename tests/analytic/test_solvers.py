@@ -79,6 +79,46 @@ class TestNesterov:
         assert info.iteration == 1
         assert info.grad_norm > 0
         assert info.step_length > 0
+        assert not info.frozen
+
+    @pytest.mark.parametrize("backtrack", [3, 12])
+    def test_exhausted_line_search_reports_every_halving(self, backtrack):
+        """A search whose trials all fail reports ``backtrack + 1``
+        halvings, and the tiny step it then takes is the prediction
+        halved that many times."""
+        calls = []
+
+        def rising(v):
+            # every later evaluation is worse than the reference point
+            calls.append(None)
+            return float(len(calls)), np.ones_like(v)
+
+        opt = NesterovOptimizer(np.zeros(4), rising, alpha0=0.5,
+                                backtrack=backtrack)
+        info = opt.step()
+        assert info.backtracks == backtrack + 1
+        assert info.step_length == \
+            info.step_predicted / 2 ** (backtrack + 1)
+
+    def test_zero_step_freezes(self):
+        """A zero step that moves neither iterate is flagged frozen,
+        and further steps leave the iterate bitwise unchanged even as
+        the objective changes between them."""
+        weight = [1.0]
+
+        def fun(v):
+            d = v - 3.0
+            return weight[0] * float(d @ d), 2.0 * weight[0] * d
+
+        opt = NesterovOptimizer(np.linspace(0.0, 1.0, 5), fun,
+                                alpha0=0.0)
+        info = opt.step()
+        assert info.step_length == 0.0 and info.frozen
+        frozen_v = opt.v.tobytes()
+        for _ in range(10):
+            weight[0] *= 1.05
+            assert opt.step().frozen
+            assert opt.v.tobytes() == frozen_v
 
 
 class TestConjugateGradient:

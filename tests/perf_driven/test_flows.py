@@ -17,6 +17,8 @@ from repro.perf_driven import (
 from repro.placement import audit_constraints, total_overlap
 from repro.xu_ispd19 import XuParams
 
+from ..eplace.test_global_place import check_memo_hit_exact
+
 
 @pytest.fixture(scope="module")
 def quick_model():
@@ -47,6 +49,26 @@ class TestEPlaceAP:
         assert total_overlap(result.placement) == pytest.approx(0.0)
         assert audit_constraints(result.placement).ok
         assert "refine" in result.stats
+
+    def test_memo_hit_is_exact(self, quick_model, quick_gp, rng,
+                               monkeypatch):
+        """The GNN term is memoized with the other position-only terms."""
+        from repro.circuits import cc_ota
+        from repro.perf_driven import EPlaceAPGlobalPlacer
+
+        calls = [0]
+        phi_and_grad = quick_model.phi_and_grad
+
+        def counted(x, y):
+            calls[0] += 1
+            return phi_and_grad(x, y)
+
+        monkeypatch.setattr(quick_model, "phi_and_grad", counted)
+        check_memo_hit_exact(
+            lambda: EPlaceAPGlobalPlacer(cc_ota(), quick_model, quick_gp,
+                                         alpha=2.0), rng)
+        # init + miss for the memoizing placer; init + miss for the fresh
+        assert calls[0] == 4
 
     def test_model_circuit_mismatch_rejected(self, quick_model):
         from repro.circuits import comp1
