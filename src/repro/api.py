@@ -31,8 +31,7 @@ from .legalize import DetailedParams, detailed_place, \
     lp_two_stage_detailed_placement
 from .netlist import Circuit
 from .obs import diagnose, live, metrics, trace, tracing
-from .obs.racing import RaceController, RaceResult, RacingParams
-from .parallel import CancelledTask, parallel_map, parallel_map_live
+from .parallel import parallel_map, parallel_map_live
 from .placement import PlacerResult
 from .xu_ispd19 import XuParams, xu_global
 
@@ -148,41 +147,13 @@ def _seed_worker(
     return place(circuit, method, **kwargs)
 
 
-def _expected_progress_iterations(
-    method: str, kwargs: dict[str, Any],
-) -> int:
-    """Highest progress-iteration index a seeded run can publish.
-
-    Derived from the engine parameters that bound the instrumented
-    loop (:func:`repro.obs.live.progress` sites); racing checkpoints
-    are laid out against this ceiling.  Engines that stop early (CG
-    convergence, overflow target) are covered by the controller's
-    finished-seed barrier rule.
-    """
-    if method == "annealing":
-        p = kwargs.get("params") or SAParams()
-        stages = -(-p.iterations // p.moves_per_temp)  # ceil division
-        return max(1, stages - 1)  # sa.stage indices are 0-based
-    if method == "eplace-a":
-        p = kwargs.get("gp_params") or EPlaceParams(
-            utilization=0.8, eta=0.3)
-        return max(1, p.max_iters)
-    if method == "xu-ispd19":
-        p = kwargs.get("gp_params") or XuParams()
-        return max(1, p.stages * p.cg_iterations)
-    raise ValueError(
-        f"unknown method {method!r}; choose one of {METHODS}"
-    )
-
-
 def place_multiseed(
     circuit: Circuit,
     method: str = "annealing",
     seeds: "Sequence[int]" = (1, 2, 3),
     jobs: int = 1,
-    racing: "RacingParams | None" = None,
     **kwargs: Any,
-) -> "list[PlacerResult] | RaceResult":
+) -> "list[PlacerResult]":
     """Run :func:`place` once per seed; results come back in seed order.
 
     Seeds shard across up to ``jobs`` worker processes
@@ -193,72 +164,38 @@ def place_multiseed(
     absorbed back into the caller's (in seed order), so the merged
     trace matches a sequential traced run.
 
-    Pick a winner with e.g. ``min(results, key=lambda r:
-    r.metrics()["hpwl"])`` — engines normalise their cost terms
-    differently, so the caller chooses the selection metric.
+    Selection is the caller's job: pick a winner with e.g.
+    ``min(results, key=lambda r: r.metrics()["hpwl"])`` — engines
+    normalise their cost terms differently, so the caller chooses the
+    selection metric.  Take
+    best-of-N on post-DP metrics, never on GP convergence: over 8
+    ePlace-A seeds each on CC-OTA, CM-OTA1, VGA, CM-OTA2 and VCO1, the
+    Spearman rank correlation between GP HPWL and the post-DP score
+    ranged from -0.65 to 0.77, and the GP-best seed was the DP-best
+    seed on only 2 of the 5 circuits, while post-DP results spread
+    2-12% across seeds.
 
     Live telemetry: when the calling thread has an active
     :class:`repro.obs.live.EventBus` (``with live.session():``), the
     fan-out streams every seed's per-iteration events onto it via
     :func:`repro.parallel.parallel_map_live`, stamped with the seed's
     task index as ``source``.
-
-    Racing: pass ``racing=RacingParams(...)`` to race the seeds — a
-    :class:`repro.obs.racing.RaceController` watches the merged
-    convergence stream and cancels dominated seeds once warmup has
-    passed.  The return value becomes a
-    :class:`~repro.obs.racing.RaceResult` whose ``results`` list holds
-    ``None`` for seeds whose kill landed; ``winner`` is deterministic
-    across job counts.
     """
     tracer = trace.current()
     traced = tracer.enabled
     payloads = [
         (circuit, method, seed, kwargs, traced) for seed in seeds
     ]
-    if racing is None and not live.active():
+    if not live.active():
         results = parallel_map(_seed_worker, payloads, jobs=jobs)
-        if traced:
-            for result in results:
-                tracer.absorb(result.trace)
-        return results
-
-    bus = live.current() or live.EventBus()
-    controller: "RaceController | None" = None
-    handle_ready = None
-    if racing is not None:
-        expected = racing.expected_iterations or \
-            _expected_progress_iterations(method, kwargs)
-        controller = RaceController(racing, seeds, expected)
-        controller.attach(bus)
-        handle_ready = controller.bind
-    try:
-        raw = parallel_map_live(
-            _seed_worker, payloads, jobs=jobs, bus=bus,
-            handle_ready=handle_ready,
+    else:
+        results = parallel_map_live(
+            _seed_worker, payloads, jobs=jobs, bus=live.current(),
         )
-        results = []
-        for item in raw:
-            if isinstance(item, CancelledTask):
-                results.append(None)
-                continue
-            results.append(item)
-            if traced:
-                tracer.absorb(item.trace)
-        if controller is None:
-            return results
-        controller.finalize()
-        return RaceResult(
-            seeds=list(seeds),
-            results=results,
-            kills=controller.kills,
-            metric=controller.metric or "",
-            progress_events=controller.progress_events,
-            winner_index=controller.winner_index(),
-        )
-    finally:
-        if controller is not None:
-            controller.detach()
+    if traced:
+        for result in results:
+            tracer.absorb(result.trace)
+    return results
 
 
 def place(circuit: Circuit, method: str = "eplace-a",

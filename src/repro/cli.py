@@ -103,35 +103,20 @@ def _cmd_place(args) -> int:
         kwargs["params"] = SAParams(iterations=args.sa_iterations,
                                     seed=args.seed)
     seeds = _parse_seeds(args.seeds)
-    if args.racing and seeds is None:
-        raise SystemExit("--racing requires --seeds")
     want_trace = bool(args.trace_out or args.profile or args.save_run)
 
     def _run():
         if seeds is None:
             return place(circuit, args.method, **kwargs)
-        racing = obs.RacingParams() if args.racing else None
-        out = place_multiseed(
-            circuit, args.method, seeds=seeds, jobs=args.jobs,
-            racing=racing, **kwargs,
+        results = place_multiseed(
+            circuit, args.method, seeds=seeds, jobs=args.jobs, **kwargs,
         )
-        results = out if racing is None else out.results
         for seed, res in zip(seeds, results):
-            if res is None:
-                _echo(f"seed {seed:4d}: cancelled (racing)")
-                continue
             m = res.metrics()
             _echo(f"seed {seed:4d}: hpwl {m['hpwl']:.2f} "
                   f"area {m['area']:.2f} "
                   f"runtime {m['runtime_s']:.2f}s")
-        if racing is None:
-            return min(results, key=lambda r: r.metrics()["hpwl"])
-        for kill in out.kills:
-            _echo(f"race     : seed {kill.seed} dominated at "
-                  f"iteration {kill.iteration} ({out.metric} "
-                  f"{kill.value:.4g} vs best {kill.best:.4g}"
-                  f"{'' if kill.landed else ', already finished'})")
-        return out.winner
+        return min(results, key=lambda r: r.metrics()["hpwl"])
 
     writer = None
     tracer = None
@@ -144,7 +129,7 @@ def _cmd_place(args) -> int:
                 config={
                     "circuit": circuit.name, "method": args.method,
                     "seed": args.seed, "seeds": seeds,
-                    "jobs": args.jobs, "racing": bool(args.racing),
+                    "jobs": args.jobs,
                     "sa_iterations": args.sa_iterations,
                 },
             )
@@ -473,11 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_place.add_argument("--profile", action="store_true",
                          help="print a per-phase time table")
-    p_place.add_argument(
-        "--racing", action="store_true",
-        help="race the --seeds fan-out: cancel convergence-dominated "
-             "seeds after warmup (repro.obs.racing)",
-    )
     p_place.add_argument(
         "--save-run", action="store_true",
         help="record this invocation in the run registry "

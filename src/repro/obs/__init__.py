@@ -26,7 +26,7 @@ See :mod:`repro.obs.trace` for the zero-overhead-when-disabled design,
 """
 
 from . import diagnose, env, export, health, live, log, memory, \
-    metrics, racing, registry, report, trace
+    metrics, registry, report, trace
 from .diagnose import (
     DiagnoseParams,
     Diagnosis,
@@ -45,7 +45,6 @@ from .live import (
     EventBus,
     PhaseEvent,
     ProgressEvent,
-    RaceEvent,
     ResourceSample,
     ResourceSampler,
     RingSubscriber,
@@ -54,8 +53,6 @@ from .log import configure as configure_logging
 from .log import get_logger
 from .memory import MemoryProfile, phase_peak, profile_memory
 from .metrics import REGISTRY, MetricsRegistry, snapshot
-from .racing import KillRecord, RaceController, RaceResult, \
-    RacingParams
 from .registry import RunRegistry, RunWriter
 from .trace import (
     NULL_TRACER,
@@ -75,7 +72,6 @@ __all__ = [
     "EventBus",
     "HealthSample",
     "IterationRecord",
-    "KillRecord",
     "MemoryProfile",
     "MetricsRegistry",
     "NULL_TRACER",
@@ -83,10 +79,6 @@ __all__ = [
     "PhaseEvent",
     "ProgressEvent",
     "REGISTRY",
-    "RaceController",
-    "RaceEvent",
-    "RaceResult",
-    "RacingParams",
     "ResourceSample",
     "ResourceSampler",
     "RingSubscriber",
@@ -113,7 +105,6 @@ __all__ = [
     "metrics",
     "phase_peak",
     "profile_memory",
-    "racing",
     "read_jsonl",
     "registry",
     "report",

@@ -28,9 +28,9 @@ order, so a diagnosis is byte-identical (:meth:`Diagnosis.to_json`)
 across repeats and job counts for the same seeded run.
 
 The primary metric is auto-detected per phase from
-:data:`METRIC_KEYS`.  Unlike racing (which compares placement
-*quality* across seeds, hence HPWL), diagnosis watches the engine's
-own convergence criterion — for ePlace that is density overflow, not
+:data:`METRIC_KEYS`.  Diagnosis does not compare placement *quality*
+across seeds (that is HPWL after detailed placement); it watches the
+engine's own convergence criterion — for ePlace that is density overflow, not
 HPWL, which legitimately *rises* from a clustered start.
 """
 

@@ -55,8 +55,9 @@ class HealthSample:
     Shaped exactly like :class:`~repro.obs.live.ProgressEvent` — phase,
     iteration, a numeric ``values`` dict, a ``source`` task index when
     the event crossed the worker bridge — but on its own type so
-    subscribers that only want convergence (racing) or only health
-    (diagnosers) can dispatch on ``isinstance`` without key sniffing.
+    subscribers that only want convergence (progress displays) or
+    only health (diagnosers) can dispatch on ``isinstance`` without
+    key sniffing.
     """
 
     phase: str

@@ -5,11 +5,10 @@ The recorder in :mod:`repro.obs.trace` tells the convergence story
 :class:`~repro.obs.trace.Trace` after the engine returns.  This module
 is the streaming half of the observability stack: engines publish
 typed events *while they run* and any number of subscribers watch the
-stream live.  Two consumers are built on it today — the run registry
-(:mod:`repro.obs.registry`) persists event streams next to traces, and
-the portfolio racer (:mod:`repro.obs.racing`) cancels dominated seeds
-mid-run — and the placement-as-a-service layer is designed against the
-same stream.
+stream live.  The run registry (:mod:`repro.obs.registry`) persists
+event streams next to traces, and the placement service
+(:mod:`repro.service`) streams a job's events to its clients and
+cancels jobs through the same bus.
 
 Event types (all plain picklable dataclasses, see each class):
 
@@ -22,8 +21,6 @@ Event types (all plain picklable dataclasses, see each class):
 * :class:`ResourceSample` — RSS/CPU snapshots from the background
   :class:`ResourceSampler` daemon thread (these *do* carry elapsed
   time; they are diagnostics, not part of the deterministic stream).
-* :class:`RaceEvent` — racing-controller decisions (seed kills), so
-  the kill history is itself observable and persistable.
 
 Design rules, mirroring :mod:`repro.obs.trace`:
 
@@ -42,8 +39,8 @@ Design rules, mirroring :mod:`repro.obs.trace`:
   by blocking the engine).
 * **Cooperative cancellation.**  A bus can carry a ``cancel_check``
   callable; :func:`progress` raises :class:`CancelledRun` right after
-  publishing once it returns true.  This is how the racer kills a
-  losing seed: the engine's own next progress publication is the
+  publishing once it returns true.  This is how ``repro serve``
+  cancels a job: the engine's own next progress publication is the
   cancellation point, so no state is torn down mid-update.
 
 Cross-process: :func:`repro.parallel.parallel_map_live` runs each
@@ -114,26 +111,6 @@ class ResourceSample:
     rss_kib: float
     cpu_s: float
     rss_is_peak: bool = False
-    source: "int | None" = None
-
-
-@dataclass
-class RaceEvent:
-    """A racing-controller decision, published on the same bus.
-
-    ``action`` is ``"kill"``; ``landed`` records whether the
-    cancellation actually interrupted the worker (a seed can be marked
-    dominated after it already finished — the decision is still part
-    of the deterministic race record).
-    """
-
-    action: str
-    seed: int
-    task: int
-    iteration: int
-    value: float
-    best: float
-    landed: bool = True
     source: "int | None" = None
 
 
@@ -479,7 +456,6 @@ _EVENT_TYPES: "dict[str, type]" = {
     "progress": ProgressEvent,
     "phase": PhaseEvent,
     "resource": ResourceSample,
-    "race": RaceEvent,
 }
 _TYPE_NAMES = {cls: name for name, cls in _EVENT_TYPES.items()}
 
@@ -510,7 +486,7 @@ def register_event_type(name: str, cls: type) -> None:
     Sibling modules defining their own bus event types (e.g. the
     health channel in :mod:`repro.obs.health`) register them here at
     import time so :func:`event_to_record` / :func:`event_from_record`
-    round-trip them like the built-in four.  Re-registering the same
+    round-trip them like the built-in three.  Re-registering the same
     name with the same class is a no-op; a conflicting class raises.
     """
     existing = _EVENT_TYPES.get(name)

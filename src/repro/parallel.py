@@ -38,8 +38,7 @@ The handle passed to ``handle_ready`` cancels individual tasks
 cooperatively: the worker's next progress publication raises
 :class:`repro.obs.live.CancelledRun`, and the task resolves to a
 :class:`CancelledTask` marker instead of a result — the mechanism the
-convergence racer (:mod:`repro.obs.racing`) kills dominated seeds
-with.
+placement service (:mod:`repro.service`) cancels jobs with.
 """
 
 from __future__ import annotations

@@ -1,14 +1,14 @@
-"""Runtime race sanitizer: lock order, fork safety, shared writes.
+"""Runtime race sanitizer: lock order and fork safety.
 
 The static rules in :mod:`repro.lint` (RPR4xx) prove what they can see
 in the call graph; this module catches what they cannot — the actual
 interleavings of a live run.  It is **off by default and free when
 off**: every entry point checks ``REPRO_SANITIZE=1`` once and falls
 back to plain :mod:`threading` primitives, so production runs carry no
-instrumentation cost.  CI runs the obs/parallel/racing test subset
-with the sanitizer active.
+instrumentation cost.  CI runs the obs/parallel/lint/service test
+subset with the sanitizer active.
 
-Three checkers:
+Two checkers:
 
 * **Lock order** — :func:`make_lock` returns a :class:`TrackedLock`
   that records, per thread, the stack of held sanitized locks and
@@ -27,11 +27,6 @@ Three checkers:
   ``os.register_at_fork`` hook (exceptions raised there are swallowed
   by CPython as unraisable, so the hook records violations in
   :data:`fork_violations` and prints to stderr instead of raising).
-* **Shared writes** — :func:`shared_list` returns a list that, when
-  the sanitizer is active, raises :class:`SharedWriteError` on
-  unsynchronized cross-thread mutation: a second thread may only write
-  after taking the structure's associated sanitized lock (or, with no
-  lock registered, never).
 """
 
 from __future__ import annotations
@@ -55,11 +50,6 @@ class LockOrderError(RuntimeError):
 
 class ForkSafetyError(RuntimeError):
     """A fork was attempted while hazardous threads were alive."""
-
-
-class SharedWriteError(RuntimeError):
-    """A registered shared structure was mutated cross-thread
-    without synchronization."""
 
 
 # ---------------------------------------------------------------------------
@@ -285,91 +275,3 @@ def install() -> None:
         return
     os.register_at_fork(before=_at_fork_check)
     _INSTALLED = True
-
-
-# ---------------------------------------------------------------------------
-# cross-thread write detection
-
-
-class SanitizedList(list):
-    """A list that detects unsynchronized cross-thread mutation.
-
-    Reads are unrestricted.  Writes are owned by the first writing
-    thread; another thread may write only while holding the associated
-    :class:`TrackedLock` (when one was registered), which also
-    transfers ownership.  Instances with ``lock=None`` stay picklable
-    (the extra state is a name and thread id).
-    """
-
-    def __init__(self, iterable: Iterable[Any] = (),
-                 name: str = "shared-list",
-                 lock: TrackedLock | None = None) -> None:
-        super().__init__(iterable)
-        self._san_name = name
-        self._san_lock = lock
-        self._san_writer: int | None = None
-
-    def _check_write(self) -> None:
-        me = threading.get_ident()
-        lock = self._san_lock
-        if lock is not None and lock.held_by_current_thread():
-            self._san_writer = me
-            return
-        if self._san_writer is None or self._san_writer == me:
-            self._san_writer = me
-            return
-        raise SharedWriteError(
-            f"unsynchronized cross-thread write to "
-            f"{self._san_name!r}: thread {me} wrote while thread "
-            f"{self._san_writer} owns it"
-            + (
-                f"; take lock {lock.name!r} around the write"
-                if lock is not None else
-                "; register a lock for this structure or confine "
-                "writes to one thread"
-            )
-        )
-
-    def append(self, item: Any) -> None:
-        self._check_write()
-        super().append(item)
-
-    def extend(self, iterable: Iterable[Any]) -> None:
-        self._check_write()
-        super().extend(iterable)
-
-    def insert(self, index: int, item: Any) -> None:
-        self._check_write()
-        super().insert(index, item)
-
-    def pop(self, index: int = -1) -> Any:
-        self._check_write()
-        return super().pop(index)
-
-    def remove(self, item: Any) -> None:
-        self._check_write()
-        super().remove(item)
-
-    def clear(self) -> None:
-        self._check_write()
-        super().clear()
-
-    def sort(self, **kwargs: Any) -> None:
-        self._check_write()
-        super().sort(**kwargs)
-
-    def __setitem__(self, index: Any, value: Any) -> None:
-        self._check_write()
-        super().__setitem__(index, value)
-
-    def __reduce__(self) -> Any:
-        # pickle as a plain list: the sanitizer state is per-process
-        return (list, (list(self),))
-
-
-def shared_list(name: str = "shared-list",
-                lock: TrackedLock | None = None) -> Any:
-    """A write-checked list when sanitizing, a plain list otherwise."""
-    if not enabled():
-        return []
-    return SanitizedList((), name=name, lock=lock)

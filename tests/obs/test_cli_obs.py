@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -60,6 +61,36 @@ def test_place_positional_circuit_still_works(capsys):
                "--sa-iterations", "400"])
     assert rc == 0
     assert "method   : annealing" in capsys.readouterr().out
+
+
+def test_place_seeds_fan_out(tmp_path, monkeypatch, capsys):
+    runs = tmp_path / "runs"
+    monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
+    rc = main([
+        "place", "comp1", "--method", "annealing",
+        "--sa-iterations", "400", "--seeds", "1,2", "--jobs", "2",
+        "--save-run",
+    ])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    rows = {int(m.group(1)): float(m.group(2)) for m in (
+        re.match(r"seed\s+(\d+): hpwl (\S+)", line) for line in lines
+    ) if m}
+    assert sorted(rows) == [1, 2]
+    (hpwl,) = [line.split()[2] for line in lines
+               if line.startswith("hpwl     :")]
+    assert float(hpwl) == min(rows.values())
+    (run_dir,) = [p for p in runs.iterdir() if p.is_dir()]
+    config = json.loads((run_dir / "manifest.json").read_text())["config"]
+    assert set(config) == {"circuit", "method", "seed", "seeds", "jobs",
+                           "sa_iterations"}
+    assert config["seeds"] == [1, 2]
+
+
+def test_place_rejects_removed_racing_flag():
+    with pytest.raises(SystemExit) as exc:
+        main(["place", "comp1", "--seeds", "1,2", "--racing"])
+    assert exc.value.code == 2
 
 
 def test_place_requires_a_circuit():

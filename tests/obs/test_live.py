@@ -188,8 +188,8 @@ class TestEventSerialisation:
         live.ProgressEvent("p", 3, {"hpwl": 1.5}, source=2),
         live.PhaseEvent("task", "end", source=0),
         live.ResourceSample(0.5, 1024.0, 0.25, rss_is_peak=True),
-        live.RaceEvent("kill", seed=7, task=1, iteration=9,
-                       value=2.0, best=1.0, landed=False),
+        live.PhaseEvent("flow", "start", source=1),
+        live.ResourceSample(1.25, 2048.0, 0.5, source=3),
     ]
 
     def test_round_trip(self):

@@ -13,6 +13,7 @@ from repro.obs.registry import (
     RegistryError,
     RunRegistry,
 )
+from repro.obs.report import load_events
 
 
 @pytest.fixture
@@ -38,8 +39,7 @@ class TestRegistryCore:
         bus = live.EventBus()
         bus.subscribe(writer.event_subscriber())
         bus.publish(live.ProgressEvent("p", 1, {"hpwl": 2.0}, 0))
-        bus.publish(live.RaceEvent("kill", seed=2, task=1,
-                                   iteration=3, value=2.0, best=1.0))
+        bus.publish(live.PhaseEvent("task", "end", source=1))
         writer.finalize(metrics={"hpwl": 2.0, "note": "text"})
         (run,) = registry.list_runs()
         assert run.status == "complete"
@@ -49,7 +49,7 @@ class TestRegistryCore:
         events = [live.event_from_record(json.loads(line))
                   for line in lines]
         assert isinstance(events[0], live.ProgressEvent)
-        assert isinstance(events[1], live.RaceEvent)
+        assert isinstance(events[1], live.PhaseEvent)
         assert events[0].values == {"hpwl": 2.0}
 
     def test_write_trace_emits_convergence_series(self, registry):
@@ -156,6 +156,49 @@ class TestRegistryCore:
         assert run.metrics == {"hpwl": 3.5}
         assert registry.resolve("latest").run_id == path.name
         assert "diagnosis" not in run.manifest
+
+
+class TestLegacyRaceEvents:
+    """Run directories written by older versions may hold
+    ``{"event": "race", ...}`` lines; they must stay readable."""
+
+    @pytest.fixture
+    def legacy_run(self, registry):
+        writer = registry.create("place", "old:annealing")
+        writer.finalize()
+        records = [
+            {"event": "progress", "phase": "sa.stage", "iteration": 0,
+             "values": {"best_cost": 2.0}, "source": 0},
+            {"event": "race", "action": "kill", "seed": 2, "task": 1,
+             "iteration": 3, "value": 2.0, "best": 1.0,
+             "landed": True, "source": None},
+            {"event": "progress", "phase": "sa.stage", "iteration": 1,
+             "values": {"best_cost": 1.5}, "source": 0},
+        ]
+        (writer.path / "events.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records)
+        )
+        # no stored verdicts: doctor must recompute from events.jsonl
+        manifest_path = writer.path / "manifest.json"
+        doc = json.loads(manifest_path.read_text())
+        doc.pop("diagnosis", None)
+        manifest_path.write_text(json.dumps(doc))
+        return writer.path
+
+    def test_load_events_skips_race_records(self, legacy_run):
+        events = load_events(legacy_run / "events.jsonl")
+        assert events == [
+            live.ProgressEvent("sa.stage", 0, {"best_cost": 2.0}, 0),
+            live.ProgressEvent("sa.stage", 1, {"best_cost": 1.5}, 0),
+        ]
+
+    def test_show_and_doctor_exit_normally(self, registry, legacy_run,
+                                           capsys):
+        root = str(registry.root)
+        assert main(["runs", "--root", root, "show", "latest"]) == 0
+        assert "events   : 3" in capsys.readouterr().out
+        assert main(["runs", "--root", root, "doctor", "latest"]) == 0
+        assert "verdict  :" in capsys.readouterr().out
 
 
 class TestRunsCli:

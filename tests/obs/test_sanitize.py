@@ -1,14 +1,13 @@
-"""Runtime race sanitizer: lock order, fork safety, shared writes.
+"""Runtime race sanitizer: lock order and fork safety.
 
 These tests arm ``REPRO_SANITIZE=1`` via monkeypatch per test; the CI
-``sanitize`` job additionally runs the whole obs/parallel/racing suite
-with the variable exported so the instrumented locks in the real stack
-(EventBus, registry sink, racing kills) are exercised under load.
+``sanitize`` job additionally runs the whole obs/parallel/lint/service
+suite with the variable exported so the instrumented locks in the real
+stack (EventBus, registry sink) are exercised under load.
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
 import time
 
@@ -34,18 +33,11 @@ class TestEnabled:
         assert not sanitize.enabled()
         lock = sanitize.make_lock("x")
         assert not isinstance(lock, sanitize.TrackedLock)
-        assert sanitize.shared_list("x") == []
-        assert not isinstance(
-            sanitize.shared_list("x"), sanitize.SanitizedList
-        )
 
     def test_on_with_env(self, sanitized):
         assert sanitize.enabled()
         assert isinstance(
             sanitize.make_lock("x"), sanitize.TrackedLock
-        )
-        assert isinstance(
-            sanitize.shared_list("x"), sanitize.SanitizedList
         )
 
 
@@ -186,64 +178,6 @@ class TestForkSafety:
             thread.join()
         assert len(sanitize.fork_violations) == before + 1
         assert "hazardous" in sanitize.fork_violations[-1]
-
-
-class TestSharedList:
-    def test_same_thread_writes_ok(self, sanitized):
-        shared = sanitize.shared_list("s")
-        shared.append(1)
-        shared.extend([2, 3])
-        shared[0] = 0
-        shared.sort()
-        assert shared == [0, 2, 3]
-
-    def test_cross_thread_write_raises(self, sanitized):
-        shared = sanitize.shared_list("s")
-        shared.append(1)  # this thread now owns the structure
-        caught: "list[BaseException]" = []
-
-        def intruder() -> None:
-            try:
-                shared.append(2)
-            except BaseException as exc:  # noqa: BLE001
-                caught.append(exc)
-
-        thread = threading.Thread(target=intruder)
-        thread.start()
-        thread.join()
-        assert len(caught) == 1
-        assert isinstance(caught[0], sanitize.SharedWriteError)
-
-    def test_lock_held_write_transfers_ownership(self, sanitized):
-        lock = sanitize.make_lock("s.lock")
-        shared = sanitize.shared_list("s", lock=lock)
-        shared.append(1)
-        errors: "list[BaseException]" = []
-
-        def cooperator() -> None:
-            try:
-                with lock:
-                    shared.append(2)
-            except BaseException as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        thread = threading.Thread(target=cooperator)
-        thread.start()
-        thread.join()
-        assert errors == []
-        assert shared == [1, 2]
-        # ownership transferred to the cooperator; this thread must
-        # now take the lock too
-        with lock:
-            shared.append(3)
-        assert shared == [1, 2, 3]
-
-    def test_pickles_to_plain_list(self, sanitized):
-        shared = sanitize.shared_list("s")
-        shared.extend([1, 2])
-        clone = pickle.loads(pickle.dumps(shared))
-        assert type(clone) is list
-        assert clone == [1, 2]
 
 
 class TestSamplerPauseResume:
