@@ -8,6 +8,8 @@ loops.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..netlist import Circuit
@@ -69,6 +71,31 @@ class NetArrays:
             np.diff(np.append(self.starts, self.num_pins)),
         )
 
+    def tiled(self, copies: int) -> "NetArrays":
+        """These nets laid out ``copies`` times back to back.
+
+        One segmented pass over the tiled layout evaluates every copy
+        at once (say, both axes of a WA span, the x pin coordinates
+        followed by the y ones).  Each net's reductions see the same
+        pins in the same order, so each copy's result is bitwise that
+        of a pass over ``self``.
+        """
+        out = copy.copy(self)
+        out.pin_dev = np.tile(self.pin_dev, copies)
+        out.pin_offx = np.tile(self.pin_offx, copies)
+        out.pin_offy = np.tile(self.pin_offy, copies)
+        out.starts = np.concatenate([
+            self.starts + k * self.num_pins for k in range(copies)
+        ]).astype(int)
+        out.weights = np.tile(self.weights, copies)
+        out.net_names = self.net_names * copies
+        out.num_pins = self.num_pins * copies
+        out.num_nets = self.num_nets * copies
+        out.pin_net = np.concatenate([
+            self.pin_net + k * self.num_nets for k in range(copies)
+        ]).astype(int)
+        return out
+
     def pin_coords(
         self, x: np.ndarray, y: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -93,12 +120,14 @@ class NetArrays:
     def scatter_to_devices(
         self, pin_values: np.ndarray, n: int | None = None
     ) -> np.ndarray:
-        """Accumulate per-pin values onto their owning devices."""
+        """Accumulate per-pin values onto their owning devices.
+
+        ``bincount`` adds each device's pins in pin order from zero,
+        bitwise what ``np.add.at`` into a zeroed vector gives.
+        """
         if n is None:
             n = self.circuit.num_devices
-        out = np.zeros(n)
-        np.add.at(out, self.pin_dev, pin_values)
-        return out
+        return np.bincount(self.pin_dev, weights=pin_values, minlength=n)
 
     def exact_hpwl(self, x: np.ndarray, y: np.ndarray) -> float:
         """Weighted exact HPWL from device centres (pins at offsets)."""

@@ -26,14 +26,17 @@ from .netarrays import NetArrays
 from .stable import clipped_exp, safe_div
 
 
-def _wa_axis(
+def _wa_estimators(
     arrays: NetArrays, coords: np.ndarray, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-net WA span and per-pin gradient along one axis.
+) -> tuple[np.ndarray, ...]:
+    """Per-net max/min WA estimators along one axis.
 
-    Exponents are shifted by the per-net extremum (≤ 0), so each
-    denominator contains a unit term and is ≥ 1; the stable-helper
-    guards are no-ops on valid input and only catch kernel bugs.
+    Returns ``(f_max, a, denom_max, f_min, b, denom_min)``: the two
+    estimators and the shifted exponentials and their per-net sums,
+    which the gradient reuses.  Exponents are shifted by the per-net
+    extremum (≤ 0), so each denominator contains a unit term and is
+    ≥ 1; the stable-helper guards are no-ops on valid input and only
+    catch kernel bugs.
     """
     seg = arrays.pin_net
 
@@ -43,9 +46,6 @@ def _wa_axis(
     denom_max = arrays.segment_sum(a)
     numer_max = arrays.segment_sum(coords * a)
     f_max = safe_div(numer_max, denom_max)
-    grad_max = safe_div(a, denom_max[seg]) * (
-        1.0 + (coords - f_max[seg]) / gamma
-    )
 
     # -- min estimator ------------------------------------------------
     seg_min = arrays.segment_min(coords)
@@ -53,10 +53,31 @@ def _wa_axis(
     denom_min = arrays.segment_sum(b)
     numer_min = arrays.segment_sum(coords * b)
     f_min = safe_div(numer_min, denom_min)
+
+    return f_max, a, denom_max, f_min, b, denom_min
+
+
+def wa_span(
+    arrays: NetArrays, coords: np.ndarray, gamma: float
+) -> np.ndarray:
+    """Per-net WA span along one axis, without the gradient."""
+    f_max, _, _, f_min, _, _ = _wa_estimators(arrays, coords, gamma)
+    return f_max - f_min
+
+
+def _wa_axis(
+    arrays: NetArrays, coords: np.ndarray, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-net WA span and per-pin gradient along one axis."""
+    seg = arrays.pin_net
+    f_max, a, denom_max, f_min, b, denom_min = _wa_estimators(
+        arrays, coords, gamma)
+    grad_max = safe_div(a, denom_max[seg]) * (
+        1.0 + (coords - f_max[seg]) / gamma
+    )
     grad_min = safe_div(b, denom_min[seg]) * (
         1.0 - (coords - f_min[seg]) / gamma
     )
-
     return f_max - f_min, grad_max - grad_min
 
 

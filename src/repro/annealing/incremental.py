@@ -35,6 +35,7 @@ table and the audit policy.
 from __future__ import annotations
 
 from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +78,9 @@ def realize_placement(
 ) -> Placement:
     """Pack a sequence pair and emit the absolute device placement.
 
-    Shared by the annealer's final-result path and the evaluator's
-    cost-hook path so both produce identical coordinates.
+    The annealer's final-result path.  The evaluator's cost-hook path
+    builds the same coordinates, bit for bit, from the packing and
+    device geometry it already holds.
     """
     widths = np.array([b.width for b in blocks])
     heights = np.array([b.height for b in blocks])
@@ -98,6 +100,27 @@ def realize_placement(
         fx[idx] = bfx
         fy[idx] = bfy
     return Placement(circuit, x, y, fx, fy)
+
+
+class _BlockGeom(NamedTuple):
+    """One block's geometry under a row order and extra flips.
+
+    Pin offsets (over the block's pins) and packed extents feed the
+    span and area kernels; member device offsets and flips (over
+    ``idx``) feed realized placements.
+    """
+
+    pin_rel_x: np.ndarray
+    pin_rel_y: np.ndarray
+    lo_x: float
+    hi_x: float
+    lo_y: float
+    hi_y: float
+    idx: np.ndarray
+    rel_x: np.ndarray
+    rel_y: np.ndarray
+    fx: np.ndarray
+    fy: np.ndarray
 
 
 class _Cache:
@@ -180,6 +203,9 @@ class IncrementalCostEvaluator:
         self.area_norm = float(area_norm)
         self.perf_weight = float(perf_weight)
         self.cost_hook = cost_hook
+        # with an active hook every candidate is realized as a
+        # Placement, so the device-level caches are kept current too
+        self._hooked = cost_hook is not None and self.perf_weight > 0
         self.audit_tol = float(audit_tol)
         self.audits = 0
         self.incremental_evals = 0
@@ -204,10 +230,10 @@ class IncrementalCostEvaluator:
         )
         # block geometry is a pure function of (block index, row order,
         # extra flips); SA revisits the same handful of geometries per
-        # block thousands of times, so pin offsets and extents memoize
+        # block thousands of times, so pin offsets, extents and member
+        # device geometry memoize
         self._geom_cache: dict[
-            tuple[int, tuple[int, ...], bool, bool],
-            tuple[np.ndarray, np.ndarray, float, float, float, float],
+            tuple[int, tuple[int, ...], bool, bool], _BlockGeom,
         ] = {}
         self._cur: "_Cache | None" = None
         self._pending: "_Cache | None" = None
@@ -280,7 +306,7 @@ class IncrementalCostEvaluator:
         cache.bx = np.asarray(cache.bx_l)
         cache.by = np.asarray(cache.by_l)
         cache.spans = self._spans_all(cache)
-        self._finish(cache, blocks, pair, free_flips)
+        self._finish(cache)
         return cache
 
     def _build_static(self, nb: int) -> None:
@@ -362,25 +388,23 @@ class IncrementalCostEvaluator:
                 if k is not None:
                     moved[k] = True
                 cand.spans = self._spans_update(cand, cur, moved)
-        self._finish(cand, blocks, pair, free_flips)
+        self._finish(cand)
         self._pending = cand
         self.incremental_evals += 1
         return cand.cost
 
     def _block_geom(
         self, blocks: list[Block], k: int, efx: bool, efy: bool
-    ) -> tuple[np.ndarray, np.ndarray, float, float, float, float]:
-        """Memoized per-block pin offsets and extents.
+    ) -> _BlockGeom:
+        """Memoized per-block pin offsets, extents and member geometry.
 
-        Returns ``(pin_rel_x, pin_rel_y, lo_x, hi_x, lo_y, hi_y)`` for
-        block ``k``'s pins under its current row order and the given
-        extra flips.  Keyed by row order (not object identity) so
-        memoized reorder blocks share entries.
+        Keyed by row order (not object identity) so memoized reorder
+        blocks share entries.
         """
         block = blocks[k]
         key = (k, tuple(block.row_order), efx, efy)
-        vals = self._geom_cache.get(key)
-        if vals is None:
+        geom = self._geom_cache.get(key)
+        if geom is None:
             a = self.arrays
             rel_x, rel_y, bfx, bfy = block_geometry(block, efx, efy)
             idx = np.asarray(block.device_indices, dtype=int)
@@ -390,21 +414,23 @@ class IncrementalCostEvaluator:
             mem = np.array(
                 [pos[d] for d in a.pin_dev[psel]], dtype=int
             )
-            sign_x = np.where(np.atleast_1d(bfx), -1.0, 1.0)
-            sign_y = np.where(np.atleast_1d(bfy), -1.0, 1.0)
+            bfx = np.atleast_1d(bfx)
+            bfy = np.atleast_1d(bfy)
+            sign_x = np.where(bfx, -1.0, 1.0)
+            sign_y = np.where(bfy, -1.0, 1.0)
             rel_x = np.atleast_1d(rel_x)
             rel_y = np.atleast_1d(rel_y)
-            prx = rel_x[mem] + a.pin_offx[psel] * sign_x[mem]
-            pry = rel_y[mem] + a.pin_offy[psel] * sign_y[mem]
-            vals = (
-                prx, pry,
-                float((rel_x - self.half_w[idx]).min()),
-                float((rel_x + self.half_w[idx]).max()),
-                float((rel_y - self.half_h[idx]).min()),
-                float((rel_y + self.half_h[idx]).max()),
+            geom = _BlockGeom(
+                pin_rel_x=rel_x[mem] + a.pin_offx[psel] * sign_x[mem],
+                pin_rel_y=rel_y[mem] + a.pin_offy[psel] * sign_y[mem],
+                lo_x=float((rel_x - self.half_w[idx]).min()),
+                hi_x=float((rel_x + self.half_w[idx]).max()),
+                lo_y=float((rel_y - self.half_h[idx]).min()),
+                hi_y=float((rel_y + self.half_h[idx]).max()),
+                idx=idx, rel_x=rel_x, rel_y=rel_y, fx=bfx, fy=bfy,
             )
-            self._geom_cache[key] = vals
-        return vals
+            self._geom_cache[key] = geom
+        return geom
 
     def _update_geometry(
         self,
@@ -415,16 +441,14 @@ class IncrementalCostEvaluator:
     ) -> None:
         """Refresh pin/extent caches for one re-shaped block.
 
-        The candidate's *device*-level arrays (``rel_x`` … ``sign_y``)
-        are left untouched — they are full-evaluation artifacts; the
-        span and area kernels only read the pin offsets and extents
-        maintained here.
+        The candidate's *device*-level arrays (``rel_x`` … ``fy``) are
+        refreshed only when a cost hook realizes candidates; the span
+        and area kernels read just the pin offsets and extents.
+        ``sign_x``/``sign_y`` stay full-evaluation artifacts.
         """
         block = blocks[k]
         efx, efy = free_flips.get(k, (False, False))
-        prx, pry, lo_x, hi_x, lo_y, hi_y = self._block_geom(
-            blocks, k, efx, efy
-        )
+        geom = self._block_geom(blocks, k, efx, efy)
         if block.width != cand.block_w[k] or \
                 block.height != cand.block_h[k]:
             cand.block_w = list(cand.block_w)
@@ -435,16 +459,25 @@ class IncrementalCostEvaluator:
         cand.ext_hi_x = list(cand.ext_hi_x)
         cand.ext_lo_y = list(cand.ext_lo_y)
         cand.ext_hi_y = list(cand.ext_hi_y)
-        cand.ext_lo_x[k] = lo_x
-        cand.ext_hi_x[k] = hi_x
-        cand.ext_lo_y[k] = lo_y
-        cand.ext_hi_y[k] = hi_y
+        cand.ext_lo_x[k] = geom.lo_x
+        cand.ext_hi_x[k] = geom.hi_x
+        cand.ext_lo_y[k] = geom.lo_y
+        cand.ext_hi_y[k] = geom.hi_y
         psel = self._block_pins[k]
         if len(psel):
             cand.pin_rel_x = cand.pin_rel_x.copy()
             cand.pin_rel_y = cand.pin_rel_y.copy()
-            cand.pin_rel_x[psel] = prx
-            cand.pin_rel_y[psel] = pry
+            cand.pin_rel_x[psel] = geom.pin_rel_x
+            cand.pin_rel_y[psel] = geom.pin_rel_y
+        if self._hooked:
+            cand.rel_x = cand.rel_x.copy()
+            cand.rel_y = cand.rel_y.copy()
+            cand.fx = cand.fx.copy()
+            cand.fy = cand.fy.copy()
+            cand.rel_x[geom.idx] = geom.rel_x
+            cand.rel_y[geom.idx] = geom.rel_y
+            cand.fx[geom.idx] = geom.fx
+            cand.fy[geom.idx] = geom.fy
 
     def commit(self) -> None:
         """Promote the last :meth:`propose` result to current state."""
@@ -530,13 +563,7 @@ class IncrementalCostEvaluator:
         return spans
 
     # -- cost assembly -------------------------------------------------
-    def _finish(
-        self,
-        cache: _Cache,
-        blocks: list[Block],
-        pair: SequencePair,
-        free_flips: dict[int, tuple[bool, bool]],
-    ) -> None:
+    def _finish(self, cache: _Cache) -> None:
         """HPWL + area (+ optional performance hook) from the caches."""
         cache.hpwl = float(np.dot(self.arrays.weights, cache.spans))
         bx_l, by_l = cache.bx_l, cache.by_l
@@ -548,9 +575,15 @@ class IncrementalCostEvaluator:
             cache.hpwl / self.hpwl_norm
             + self.area_weight * (w * h) / self.area_norm
         )
-        if self.cost_hook is not None and self.perf_weight > 0:
-            placement = realize_placement(
-                self.circuit, blocks, pair, free_flips
+        if self._hooked:
+            # realize_placement's coordinates, from this state's packing
+            # and device geometry instead of a re-pack
+            dev_block = self._dev_block
+            placement = Placement(
+                self.circuit,
+                cache.bx[dev_block] + cache.rel_x,
+                cache.by[dev_block] + cache.rel_y,
+                cache.fx, cache.fy,
             )
             cost += self.perf_weight * self.cost_hook(placement)
         cache.cost = cost

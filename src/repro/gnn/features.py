@@ -16,17 +16,25 @@ message-passing: they hand the network the quantity performance
 actually depends on (how far apart connected — especially critically
 connected — devices sit) instead of asking two GCN layers to
 rediscover geometry from raw coordinates.  Both are differentiable, and
-:meth:`FeatureEncoder.position_grad` backpropagates through them
-exactly, so ePlace-AP's :math:`\\partial \\Phi / \\partial v` includes
-their pull.
+:meth:`FeatureEncoder.backward` backpropagates through them exactly, so
+ePlace-AP's :math:`\\partial \\Phi / \\partial v` includes their pull.
+
+One encode does each piece of work once: one pairwise smooth-distance
+matrix feeds both interaction columns, and one WA pass over every net
+and both axes feeds both span columns (the critical nets are a slice
+of it).  :meth:`FeatureEncoder.forward` also keeps the smooth-abs
+derivatives and WA pin gradients, so ``phi_and_grad``'s backward pass
+recomputes nothing.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from ..analytic.netarrays import NetArrays
-from ..analytic.wa import _wa_axis
+from ..analytic.wa import _wa_axis, wa_span
 from ..netlist import NUM_DEVICE_TYPES, Circuit
 from ..placement import Placement
 
@@ -69,10 +77,23 @@ def _clique_adjacency(circuit: Circuit, critical_only: bool) -> np.ndarray:
     return adjacency
 
 
-def _smooth_abs(d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Smooth |d| and its derivative."""
-    value = np.sqrt(d * d + _SMOOTH_EPS * _SMOOTH_EPS)
-    return value, d / value
+@dataclass
+class FeatureTape:
+    """What the backward pass of one forward encode needs.
+
+    ``sx``/``sy`` are the smooth-abs derivatives ``d/|d|_eps`` of the
+    pairwise coordinate differences; ``pin_gx``/``pin_gy`` the WA span
+    gradients of every pin of ``FeatureEncoder.nets_all``.  ``x`` and
+    ``y`` are the caller's arrays, not copies: run the backward pass
+    before changing them.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    sx: np.ndarray
+    sy: np.ndarray
+    pin_gx: np.ndarray
+    pin_gy: np.ndarray
 
 
 class FeatureEncoder:
@@ -116,6 +137,7 @@ class FeatureEncoder:
                 partner[index[a]] = index[b]
                 partner[index[b]] = index[a]
         self.partner = partner
+        self._paired = np.flatnonzero(partner >= 0)
 
         from ..simulate.helpers import coupling_pairs
 
@@ -130,77 +152,17 @@ class FeatureEncoder:
         self.nets_crit = NetArrays(
             circuit, include=lambda net: net.name in crit_names
         )
+        # one WA pass over nets_all covers both axes (x pins, then y);
+        # the critical nets are a subsequence of nets_all with the same
+        # pin lists, so their spans and pin gradients are slices of it
+        self._nets_xy = self.nets_all.tiled(2)
+        self._crit_nets = np.array(
+            [name in crit_names for name in self.nets_all.net_names],
+            dtype=bool,
+        )
+        self._crit_pins = self._crit_nets[self.nets_all.pin_net]
 
     # ------------------------------------------------------------------
-    def _interaction(
-        self, adjacency: np.ndarray, x: np.ndarray, y: np.ndarray
-    ) -> np.ndarray:
-        """Adjacency-weighted smooth-Manhattan distance per node."""
-        ax, _ = _smooth_abs(x[:, None] - x[None, :])
-        ay, _ = _smooth_abs(y[:, None] - y[None, :])
-        return (adjacency * (ax + ay)).sum(axis=1) / self.scale
-
-    def _pin_coords(
-        self, arrays: NetArrays, x: np.ndarray, y: np.ndarray,
-        sign_x: np.ndarray, sign_y: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Pin coordinates honouring per-device flip signs."""
-        dev = arrays.pin_dev
-        return (
-            x[dev] + arrays.pin_offx * sign_x[dev],
-            y[dev] + arrays.pin_offy * sign_y[dev],
-        )
-
-    def _net_span_feature(
-        self, arrays: NetArrays, x: np.ndarray, y: np.ndarray,
-        sign_x: np.ndarray, sign_y: np.ndarray,
-    ) -> np.ndarray:
-        """Per-device sum of WA-smoothed spans of its incident nets.
-
-        This is the quantity circuit performance physically tracks (a
-        differentiable stand-in for routed net length); exposing it as
-        a feature lets a small network calibrate *how much* each net
-        matters instead of having to rediscover geometry.
-        """
-        n = len(x)
-        feat = np.zeros(n)
-        if arrays.num_nets == 0:
-            return feat
-        px, py = self._pin_coords(arrays, x, y, sign_x, sign_y)
-        span_x, _ = _wa_axis(arrays, px, _SPAN_GAMMA)
-        span_y, _ = _wa_axis(arrays, py, _SPAN_GAMMA)
-        spans = span_x + span_y
-        np.add.at(feat, arrays.pin_dev, spans[arrays.pin_net])
-        return feat / self.scale
-
-    def _net_span_grad(
-        self,
-        arrays: NetArrays,
-        g_col: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        sign_x: np.ndarray,
-        sign_y: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Chain rule through the net-span feature column.
-
-        The flip signs affect pin offsets (constants), so the gradient
-        w.r.t. device centres is unchanged in form.
-        """
-        n = len(x)
-        if arrays.num_nets == 0:
-            return np.zeros(n), np.zeros(n)
-        px, py = self._pin_coords(arrays, x, y, sign_x, sign_y)
-        _, pin_gx = _wa_axis(arrays, px, _SPAN_GAMMA)
-        _, pin_gy = _wa_axis(arrays, py, _SPAN_GAMMA)
-        # cotangent of net e's span: sum of g over devices of its pins
-        m_net = arrays.segment_sum(g_col[arrays.pin_dev])
-        gx = arrays.scatter_to_devices(
-            pin_gx * m_net[arrays.pin_net], n) / self.scale
-        gy = arrays.scatter_to_devices(
-            pin_gy * m_net[arrays.pin_net], n) / self.scale
-        return gx, gy
-
     def _signs(
         self, n: int, flip_x: np.ndarray | None, flip_y: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -209,6 +171,97 @@ class FeatureEncoder:
         sign_y = np.where(flip_y, -1.0, 1.0) if flip_y is not None \
             else np.ones(n)
         return sign_x, sign_y
+
+    def _span_feature(
+        self, arrays: NetArrays, spans: np.ndarray, n: int
+    ) -> np.ndarray:
+        """Per-device sum of the spans of its incident nets.
+
+        Net spans are what circuit performance physically tracks (a
+        differentiable stand-in for routed net length); exposing them
+        as a feature lets a small network calibrate *how much* each
+        net matters instead of having to rediscover geometry.
+        ``bincount`` adds each device's pins in pin order from zero,
+        exactly as ``np.add.at`` into a zeroed vector would.
+        """
+        return np.bincount(
+            arrays.pin_dev, weights=spans[arrays.pin_net], minlength=n
+        ) / self.scale
+
+    def _span_grad(
+        self,
+        arrays: NetArrays,
+        g_col: np.ndarray,
+        pin_gx: np.ndarray,
+        pin_gy: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Chain rule through one net-span feature column.
+
+        The flip signs affect pin offsets (constants), so the gradient
+        w.r.t. device centres is unchanged in form.
+        """
+        n = len(g_col)
+        if arrays.num_nets == 0:
+            return np.zeros(n), np.zeros(n)
+        # cotangent of net e's span: sum of g over devices of its pins
+        m_net = arrays.segment_sum(g_col[arrays.pin_dev])
+        gx = arrays.scatter_to_devices(
+            pin_gx * m_net[arrays.pin_net], n) / self.scale
+        gy = arrays.scatter_to_devices(
+            pin_gy * m_net[arrays.pin_net], n) / self.scale
+        return gx, gy
+
+    def _encode(
+        self, x: np.ndarray, y: np.ndarray,
+        flip_x: np.ndarray | None, flip_y: np.ndarray | None,
+        keep_tape: bool,
+    ) -> tuple[np.ndarray, FeatureTape | None]:
+        """One forward pass; the tape only when ``keep_tape`` is set."""
+        n = len(x)
+        sign_x, sign_y = self._signs(n, flip_x, flip_y)
+        feats = self.static.copy()
+        feats[:, POS_X_COL] = x / self.scale
+        feats[:, POS_Y_COL] = y / self.scale
+
+        # adjacency-weighted smooth-Manhattan distance per node, over
+        # one pairwise matrix |dx|_eps + |dy|_eps shared by both columns
+        dx = x[:, None] - x[None, :]
+        dy = y[:, None] - y[None, :]
+        ax = np.sqrt(dx * dx + _SMOOTH_EPS * _SMOOTH_EPS)
+        ay = np.sqrt(dy * dy + _SMOOTH_EPS * _SMOOTH_EPS)
+        dist = ax + ay
+        feats[:, NBR_DIST_COL] = (
+            self.adj_all * dist).sum(axis=1) / self.scale
+        feats[:, CRIT_DIST_COL] = (
+            self.adj_crit * dist).sum(axis=1) / self.scale
+
+        arrays = self.nets_all
+        pin_g = np.zeros(0)
+        if arrays.num_nets == 0:
+            spans = np.zeros(0)
+        else:
+            dev = arrays.pin_dev
+            pins = np.concatenate((
+                x[dev] + arrays.pin_offx * sign_x[dev],
+                y[dev] + arrays.pin_offy * sign_y[dev],
+            ))
+            if keep_tape:
+                spans_xy, pin_g = _wa_axis(
+                    self._nets_xy, pins, _SPAN_GAMMA)
+            else:
+                spans_xy = wa_span(self._nets_xy, pins, _SPAN_GAMMA)
+            e = arrays.num_nets
+            spans = spans_xy[:e] + spans_xy[e:]
+        feats[:, NET_SPAN_COL] = self._span_feature(arrays, spans, n)
+        feats[:, CRIT_SPAN_COL] = self._span_feature(
+            self.nets_crit, spans[self._crit_nets], n)
+        feats[:, PAIR_SEP_COL] = self._pair_separation(x, y)
+        feats[:, COUPLING_COL] = self._coupling_feature(x, y)
+        if not keep_tape:
+            return feats, None
+        p = arrays.num_pins
+        return feats, FeatureTape(
+            x, y, dx / ax, dy / ay, pin_g[:p], pin_g[p:])
 
     def encode_xy(
         self, x: np.ndarray, y: np.ndarray,
@@ -221,19 +274,17 @@ class FeatureEncoder:
         flip-sensitive, so the features must be too, or flip-heavy
         layouts carry irreducible label noise.
         """
-        sign_x, sign_y = self._signs(len(x), flip_x, flip_y)
-        feats = self.static.copy()
-        feats[:, POS_X_COL] = x / self.scale
-        feats[:, POS_Y_COL] = y / self.scale
-        feats[:, NBR_DIST_COL] = self._interaction(self.adj_all, x, y)
-        feats[:, CRIT_DIST_COL] = self._interaction(self.adj_crit, x, y)
-        feats[:, NET_SPAN_COL] = self._net_span_feature(
-            self.nets_all, x, y, sign_x, sign_y)
-        feats[:, CRIT_SPAN_COL] = self._net_span_feature(
-            self.nets_crit, x, y, sign_x, sign_y)
-        feats[:, PAIR_SEP_COL] = self._pair_separation(x, y)
-        feats[:, COUPLING_COL] = self._coupling_feature(x, y)
-        return feats
+        return self._encode(x, y, flip_x, flip_y, keep_tape=False)[0]
+
+    def forward(
+        self, x: np.ndarray, y: np.ndarray,
+        flip_x: np.ndarray | None = None,
+        flip_y: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, FeatureTape]:
+        """:meth:`encode_xy` plus the tape :meth:`backward` consumes."""
+        feats, tape = self._encode(x, y, flip_x, flip_y, keep_tape=True)
+        assert tape is not None
+        return feats, tape
 
     def _coupling_feature(
         self, x: np.ndarray, y: np.ndarray
@@ -244,14 +295,13 @@ class FeatureEncoder:
         matching the coupling term in the performance models; devices
         in neither group read 0.
         """
-        out = np.zeros(len(x))
         v, a = self.victims, self.aggressors
         if len(v) == 0 or len(a) == 0:
-            return out
+            return np.zeros(len(x))
         dx = x[v][:, None] - x[a][None, :]
         dy = y[v][:, None] - y[a][None, :]
         prox = 1.0 / (1.0 + dx * dx + dy * dy)
-        np.add.at(out, v, prox.sum(axis=1))
+        out = np.bincount(v, weights=prox.sum(axis=1), minlength=len(x))
         np.add.at(out, a, prox.sum(axis=0))
         return out
 
@@ -259,9 +309,9 @@ class FeatureEncoder:
         self, x: np.ndarray, y: np.ndarray
     ) -> np.ndarray:
         """Smooth distance to each device's symmetry partner (0 if none)."""
-        paired = self.partner >= 0
+        paired = self._paired
         out = np.zeros(len(x))
-        if not paired.any():
+        if len(paired) == 0:
             return out
         p = self.partner[paired]
         dx = x[paired] - x[p]
@@ -276,19 +326,16 @@ class FeatureEncoder:
                               placement.flip_x, placement.flip_y)
 
     # ------------------------------------------------------------------
-    def position_grad(
-        self,
-        grad_features: np.ndarray,
-        x: np.ndarray,
-        y: np.ndarray,
-        flip_x: np.ndarray | None = None,
-        flip_y: np.ndarray | None = None,
+    def backward(
+        self, grad_features: np.ndarray, tape: FeatureTape
     ) -> tuple[np.ndarray, np.ndarray]:
         """Chain-rule a feature-space gradient back to (x, y) in µm.
 
         Includes the direct position columns and the interaction
-        columns' dependence on every coordinate.
+        columns' dependence on every coordinate, at the point the tape
+        was recorded.
         """
+        x, y = tape.x, tape.y
         gx = grad_features[:, POS_X_COL] / self.scale
         gy = grad_features[:, POS_Y_COL] / self.scale
         for col, adjacency in (
@@ -296,24 +343,23 @@ class FeatureEncoder:
             (CRIT_DIST_COL, self.adj_crit),
         ):
             g_col = grad_features[:, col]  # dPhi/d feat_k
-            _, sx = _smooth_abs(x[:, None] - x[None, :])
-            _, sy = _smooth_abs(y[:, None] - y[None, :])
             # feat_k = sum_j adjacency[k, j] (|dx_kj| + |dy_kj|) / scale
             # d feat_k / d x_k = sum_j a_kj sx_kj / scale
             # d feat_k / d x_j = -a_kj sx_kj / scale
-            w = adjacency * sx
+            w = adjacency * tape.sx
             gx += (g_col * w.sum(axis=1)
                    - w.T @ g_col) / self.scale
-            w = adjacency * sy
+            w = adjacency * tape.sy
             gy += (g_col * w.sum(axis=1)
                    - w.T @ g_col) / self.scale
-        sign_x, sign_y = self._signs(len(x), flip_x, flip_y)
-        for col, arrays in (
-            (NET_SPAN_COL, self.nets_all),
-            (CRIT_SPAN_COL, self.nets_crit),
+        crit = self._crit_pins
+        for col, arrays, pin_gx, pin_gy in (
+            (NET_SPAN_COL, self.nets_all, tape.pin_gx, tape.pin_gy),
+            (CRIT_SPAN_COL, self.nets_crit,
+             tape.pin_gx[crit], tape.pin_gy[crit]),
         ):
-            dgx, dgy = self._net_span_grad(
-                arrays, grad_features[:, col], x, y, sign_x, sign_y)
+            dgx, dgy = self._span_grad(
+                arrays, grad_features[:, col], pin_gx, pin_gy)
             gx += dgx
             gy += dgy
         v, a = self.victims, self.aggressors
@@ -332,16 +378,28 @@ class FeatureEncoder:
             np.add.at(gy, v, wy.sum(axis=1))
             np.add.at(gy, a, -wy.sum(axis=0))
 
-        paired = self.partner >= 0
-        if paired.any():
+        paired = self._paired
+        if len(paired):
             g_col = grad_features[:, PAIR_SEP_COL]
             p = self.partner[paired]
             dx = x[paired] - x[p]
             dy = y[paired] - y[p]
             dist = np.sqrt(dx * dx + dy * dy + _SMOOTH_EPS ** 2)
             coeff = g_col[paired] / (dist * self.scale)
-            np.add.at(gx, np.where(paired)[0], coeff * dx)
+            np.add.at(gx, paired, coeff * dx)
             np.add.at(gx, p, -coeff * dx)
-            np.add.at(gy, np.where(paired)[0], coeff * dy)
+            np.add.at(gy, paired, coeff * dy)
             np.add.at(gy, p, -coeff * dy)
         return gx, gy
+
+    def position_grad(
+        self,
+        grad_features: np.ndarray,
+        x: np.ndarray,
+        y: np.ndarray,
+        flip_x: np.ndarray | None = None,
+        flip_y: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`backward` through a fresh forward pass at (x, y)."""
+        _, tape = self.forward(x, y, flip_x, flip_y)
+        return self.backward(grad_features, tape)

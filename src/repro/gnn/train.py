@@ -170,13 +170,13 @@ class PerformanceModel:
         """Ensemble-mean failure probability and gradient (µm)."""
         if self.inference_kernel == "loop":
             return self.phi_and_grad_loop(x, y)
-        feats = self.encoder.encode_xy(x, y)
+        feats, tape = self.encoder.forward(x, y)
         kernels = self._ensemble_kernels()
         phis, d_feats = kernels.phi_and_input_grad(
             self.encoder.a_hat, feats
         )
         k = len(self.members)
-        gx, gy = self.encoder.position_grad(d_feats / k, x, y)
+        gx, gy = self.encoder.backward(d_feats / k, tape)
         return float(phis.mean()), gx, gy
 
     def phi_and_grad_loop(

@@ -15,6 +15,7 @@ likewise trains one model per design and uses it across methods.
 
 from __future__ import annotations
 
+from dataclasses import replace as dc_replace
 from typing import Any
 
 from ..annealing import SAParams, SimulatedAnnealingPlacer, anneal_place
@@ -168,15 +169,11 @@ def place_perf_sa(
         raise ValueError(
             "perf-driven SA requires SAParams.perf_weight > 0"
         )
-    from dataclasses import replace as dc_replace
-
     effective = dc_replace(
         params, perf_weight=params.perf_weight * perf_model.trust
     ) if perf_model.trust < 1.0 else params
     if effective.perf_weight <= 0.0:
         effective = dc_replace(effective, perf_weight=1e-9)
-    from dataclasses import replace as _dc_replace
-
     from .refine import _score
 
     clock = trace.Stopwatch()
@@ -189,7 +186,7 @@ def place_perf_sa(
     # surrogate term can mislead the annealer on circuits where the
     # model is weak, and the model itself can tell
     baseline = anneal_place(
-        circuit, _dc_replace(effective, perf_weight=0.0))
+        circuit, dc_replace(effective, perf_weight=0.0))
     if _score(baseline.placement, perf_model, 0.15) < _score(
             result.placement, perf_model, 0.15):
         result = PlacerResult(

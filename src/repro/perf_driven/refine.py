@@ -17,12 +17,13 @@ region where the gradient means something.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as dc_replace
 
 import numpy as np
 
 from ..gnn import PerformanceModel
-from ..legalize import DetailedParams, detailed_place
+from ..legalize import DetailedParams, DetailedPlacementError, \
+    detailed_place
 from ..placement import Placement
 
 
@@ -175,7 +176,9 @@ def phi_refine(
     best_score = _score(legal, model, params.quality_weight)
     accepted = 0
 
-    # stage 1: gradient trust region
+    # stage 1: gradient trust region.  Every step of a round is
+    # deterministic in ``best``, so a rejected round would repeat
+    # exactly in every later one
     for _ in range(params.rounds):
         drifted = _descend(best, model, params.steps_per_round,
                            params.step_um)
@@ -186,11 +189,11 @@ def phi_refine(
         if score < best_score - params.accept_margin:
             best, best_score = candidate, score
             accepted += 1
+        else:
+            break
 
     # stage 2: ILP large-neighbourhood topology moves (lighter anchor so
     # the freed pairs can genuinely rearrange)
-    from dataclasses import replace as dc_replace
-
     lns_params = dc_replace(dp_params, displacement_weight=0.3)
     for _ in range(params.lns_rounds):
         freed = _nearest_free_pairs(
@@ -201,9 +204,10 @@ def phi_refine(
             break
         try:
             candidate, _ = _solve_model(
-                best, lns_params, free_keys=freed, time_limit=5.0,
+                best, lns_params, free_keys=freed,
+                time_limit=lns_params.refine_time_limit_s,
             )
-        except Exception:
+        except DetailedPlacementError:
             continue
         candidate = _greedy_flips(candidate, model, 1,
                                   params.quality_weight)

@@ -57,3 +57,31 @@ def test_exact_hpwl_weighted(tiny_circuit, rng):
     y = rng.uniform(0, 10, 4)
     assert arrays.exact_hpwl(x, y) == pytest.approx(
         hpwl(Placement(tiny_circuit, x, y)))
+
+
+def test_scatter_to_devices_equals_add_at(cc_ota_circuit, rng):
+    arrays = NetArrays(cc_ota_circuit)
+    values = rng.normal(size=arrays.num_pins)
+    want = np.zeros(cc_ota_circuit.num_devices)
+    np.add.at(want, arrays.pin_dev, values)
+    assert np.array_equal(arrays.scatter_to_devices(values), want)
+
+
+def test_tiled_pass_is_each_copy_bitwise(cc_ota_circuit, rng):
+    """One WA pass over the x pins then the y pins of the tiled layout
+    gives each axis's spans and pin gradients bit for bit."""
+    from repro.analytic.wa import _wa_axis, wa_span
+
+    arrays = NetArrays(cc_ota_circuit)
+    tiled = arrays.tiled(2)
+    assert tiled.num_nets == 2 * arrays.num_nets
+    assert tiled.num_pins == 2 * arrays.num_pins
+    e, p = arrays.num_nets, arrays.num_pins
+    px = rng.uniform(0, 10, p)
+    py = rng.uniform(0, 10, p)
+    spans, grads = _wa_axis(tiled, np.concatenate((px, py)), 0.4)
+    for k, coords in enumerate((px, py)):
+        want_span, want_grad = _wa_axis(arrays, coords, 0.4)
+        assert np.array_equal(spans[k * e:(k + 1) * e], want_span)
+        assert np.array_equal(grads[k * p:(k + 1) * p], want_grad)
+        assert np.array_equal(wa_span(arrays, coords, 0.4), want_span)

@@ -17,13 +17,16 @@ from repro.annealing import SAParams, anneal_place
 from repro.annealing.annealer import SimulatedAnnealingPlacer, _State
 from repro.annealing.incremental import realize_placement
 from repro.annealing.islands import build_blocks, fuse_alignment_blocks
-from repro.circuits import make
+from repro.placement import Placement
+from repro.circuits import PAPER_TESTCASES, make
 
 
-def _prepared_placer(name: str) -> tuple:
+def _prepared_placer(name: str, cost_hook=None) -> tuple:
     """A placer with the move-loop structures `_place` would build."""
     circuit = make(name)
-    placer = SimulatedAnnealingPlacer(circuit, SAParams(iterations=10))
+    params = SAParams(iterations=10,
+                      perf_weight=1.0 if cost_hook else 0.0)
+    placer = SimulatedAnnealingPlacer(circuit, params, cost_hook)
     blocks = fuse_alignment_blocks(circuit, build_blocks(circuit))
     placer._chains = placer._compile_chains(blocks)
     placer._islands = [
@@ -85,6 +88,43 @@ def test_geometry_moves_leave_packing_shared(name):
     evaluator.propose(cand.blocks, cand.pair, cand.free_flips, 0)
     assert evaluator._pending.bx is cur.bx
     assert evaluator._pending.by is cur.by
+
+
+@pytest.mark.parametrize("name", PAPER_TESTCASES)
+def test_cost_hook_placement_equals_realize_placement(name):
+    """1000 random moves, half of them rejected: the placement the
+    evaluator hands its cost hook is bitwise ``realize_placement`` of
+    the candidate state."""
+    seen: list[Placement] = []
+
+    def hook(placement: Placement) -> float:
+        seen.append(placement)
+        return 0.0
+
+    placer, state = _prepared_placer(name, hook)
+    evaluator = placer._evaluator()
+
+    def check(s) -> None:
+        want = realize_placement(
+            s.circuit, s.blocks, s.pair, s.free_flips)
+        got = seen.pop()
+        assert not seen
+        for attr in ("x", "y", "flip_x", "flip_y"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr))
+
+    evaluator.reset(state.blocks, state.pair, state.free_flips)
+    check(state)
+    rng = np.random.default_rng(3)
+    for u in rng.random((1000, 6)).tolist():
+        candidate, touched = placer._propose(state, u[:5])
+        evaluator.propose(candidate.blocks, candidate.pair,
+                          candidate.free_flips, touched)
+        check(candidate)
+        if u[5] < 0.5:
+            evaluator.commit()
+            state = candidate
+    evaluator.audit(state.blocks, state.pair, state.free_flips)
+    check(state)
 
 
 def test_audit_runs_inside_annealing():
