@@ -32,47 +32,49 @@ class SteinerTree:
     @property
     def length(self) -> float:
         """Total rectilinear wirelength."""
+        pts = self.points.tolist()
         total = 0.0
         for a, b in self.edges:
-            total += abs(self.points[a, 0] - self.points[b, 0])
-            total += abs(self.points[a, 1] - self.points[b, 1])
-        return float(total)
+            total += abs(pts[a][0] - pts[b][0])
+            total += abs(pts[a][1] - pts[b][1])
+        return total
 
 
-def _prim_tree(points: np.ndarray) -> list[tuple[int, int]]:
-    """Minimum spanning tree edges under the Manhattan metric."""
-    m = len(points)
+def _prim(
+    pts: list[tuple[float, float]],
+) -> tuple[list[tuple[int, int]], float]:
+    """Manhattan minimum spanning tree: ``(edges, length)``.
+
+    Grows from point 0; each step takes the first out-of-tree point
+    (in index order) at minimum distance, and a point's parent only
+    changes on a strictly shorter distance.  The length sums
+    ``|dx|`` then ``|dy|`` edge by edge in the order edges are added.
+    """
+    m = len(pts)
     if m <= 1:
-        return []
-    in_tree = np.zeros(m, dtype=bool)
-    in_tree[0] = True
-    best_dist = (
-        np.abs(points[:, 0] - points[0, 0])
-        + np.abs(points[:, 1] - points[0, 1])
-    )
-    best_parent = np.zeros(m, dtype=int)
+        return [], 0.0
+    x0, y0 = pts[0]
+    dist = [abs(x - x0) + abs(y - y0) for x, y in pts]
+    parent = [0] * m
+    out = list(range(1, m))
     edges: list[tuple[int, int]] = []
-    for _ in range(m - 1):
-        candidates = np.where(~in_tree, best_dist, np.inf)
-        nxt = int(np.argmin(candidates))
-        edges.append((int(best_parent[nxt]), nxt))
-        in_tree[nxt] = True
-        dist = (
-            np.abs(points[:, 0] - points[nxt, 0])
-            + np.abs(points[:, 1] - points[nxt, 1])
-        )
-        closer = dist < best_dist
-        best_dist = np.where(closer, dist, best_dist)
-        best_parent = np.where(closer, nxt, best_parent)
-    return edges
-
-
-def _tree_length(points: np.ndarray, edges) -> float:
     total = 0.0
-    for a, b in edges:
-        total += abs(points[a, 0] - points[b, 0])
-        total += abs(points[a, 1] - points[b, 1])
-    return total
+    while out:
+        nxt = min(out, key=dist.__getitem__)
+        out.remove(nxt)
+        par = parent[nxt]
+        edges.append((par, nxt))
+        nx, ny = pts[nxt]
+        px, py = pts[par]
+        total += abs(px - nx)
+        total += abs(py - ny)
+        for k in out:
+            x, y = pts[k]
+            d = abs(x - nx) + abs(y - ny)
+            if d < dist[k]:
+                dist[k] = d
+                parent[k] = nxt
+    return edges, total
 
 
 def _canonicalize(terminals: np.ndarray) -> np.ndarray:
@@ -124,70 +126,77 @@ def steiner_tree(terminals: np.ndarray) -> SteinerTree:
     """Build a rectilinear Steiner tree over terminal points.
 
     Starts from the Manhattan MST and greedily inserts the Hanan point
-    that shortens the tree the most, re-running Prim after each
-    insertion, until no candidate improves.  Complexity is fine for
-    analog net degrees (< 20 pins).
+    that shortens the tree the most, until no candidate improves.
+    Each round tries every Hanan candidate (the distinct x times the
+    distinct y of the current points, at most ``n**2`` for ``n``
+    terminals, since inserted points reuse existing coordinates) with
+    one scalar Prim over ``m + 1`` points, ``O(m**2)`` each; ``m``
+    stays below ``3 * n``.  That is cheap for analog net degrees
+    (< 20 pins).
 
     All topology decisions run in canonical (bbox-relative, quantized)
     coordinates so the result is translation-invariant; the returned
     points carry exact input-frame geometry, and a final guard falls
     back to the plain Manhattan MST if snapping ever made the
     steinerized tree measure longer on the exact coordinates.
+
+    Raises ``ValueError`` if any terminal coordinate is NaN or
+    infinite.
     """
     terminals = np.asarray(terminals, dtype=float).reshape(-1, 2)
+    bad = int(np.count_nonzero(~np.isfinite(terminals)))
+    if bad:
+        raise ValueError(
+            f"{bad} of {terminals.size} terminal coordinates are "
+            f"non-finite (NaN or inf)"
+        )
     num_terminals = len(terminals)
     if num_terminals <= 1:
         return SteinerTree(terminals, (), num_terminals)
 
     canon = _canonicalize(terminals)
-    points = canon.copy()
-    edges = _prim_tree(points)
-    length = _tree_length(points, edges)
+    points = [(x, y) for x, y in canon.tolist()]
+    edges, length = _prim(points)
 
     improved = True
     while improved and len(points) < 3 * num_terminals:
         improved = False
-        xs = np.unique(points[:, 0])
-        ys = np.unique(points[:, 1])
-        existing = {(float(px), float(py)) for px, py in points}
+        xs = sorted({x for x, _ in points})
+        ys = sorted({y for _, y in points})
+        existing = set(points)
         best_gain = 1e-9
-        best_point = None
+        best_point: tuple[float, float] | None = None
         for hx in xs:
             for hy in ys:
-                if (float(hx), float(hy)) in existing:
+                if (hx, hy) in existing:
                     continue
-                trial = np.vstack([points, [hx, hy]])
-                trial_edges = _prim_tree(trial)
-                trial_len = _tree_length(trial, trial_edges)
-                gain = length - trial_len
+                gain = length - _prim(points + [(hx, hy)])[1]
                 if gain > best_gain:
                     best_gain = gain
                     best_point = (hx, hy)
         if best_point is not None:
-            points = np.vstack([points, best_point])
-            edges = _prim_tree(points)
+            points.append(best_point)
+            edges, length = _prim(points)
             # prune degree-<=1 Steiner points (useless additions)
-            degree = np.zeros(len(points), dtype=int)
+            degree = [0] * len(points)
             for a, b in edges:
                 degree[a] += 1
                 degree[b] += 1
-            keep = np.ones(len(points), dtype=bool)
-            for k in range(num_terminals, len(points)):
-                if degree[k] <= 1:
-                    keep[k] = False
-            if not keep.all():
-                remap = np.cumsum(keep) - 1
-                points = points[keep]
-                edges = _prim_tree(points)
-                del remap
-            length = _tree_length(points, edges)
+            kept = points[:num_terminals] + [
+                p for p, d in zip(points[num_terminals:],
+                                  degree[num_terminals:]) if d > 1]
+            if len(kept) < len(points):
+                points = kept
+                edges, length = _prim(points)
             improved = True
 
-    exact = _exact_coordinates(terminals, canon, points, num_terminals)
+    exact = _exact_coordinates(terminals, canon, np.array(points),
+                               num_terminals)
     tree = SteinerTree(exact, tuple(edges), num_terminals)
     if len(points) > num_terminals:
-        mst_edges = _prim_tree(terminals)
-        if tree.length > _tree_length(terminals, mst_edges):
+        mst_edges, mst_length = _prim(
+            [(x, y) for x, y in terminals.tolist()])
+        if tree.length > mst_length:
             return SteinerTree(terminals, tuple(mst_edges),
                                num_terminals)
     return tree

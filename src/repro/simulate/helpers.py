@@ -28,12 +28,23 @@ EFFECTIVE_CAP_FF_PER_UM = 2.0
 
 
 def net_length(placement: Placement, net_name: str) -> float:
-    """Routed Steiner length of one named net, in µm."""
+    """Routed Steiner length of one named net, in µm.
+
+    Raises ``ValueError`` naming the circuit and net if a pin position
+    is NaN or infinite.
+    """
     for net in placement.circuit.nets:
         if net.name == net_name:
             if net.degree < 2:
                 return 0.0
-            return steiner_tree(placement.net_pin_positions(net)).length
+            try:
+                tree = steiner_tree(placement.net_pin_positions(net))
+            except ValueError as exc:
+                raise ValueError(
+                    f"circuit {placement.circuit.name!r}, net "
+                    f"{net_name!r}: {exc}"
+                ) from exc
+            return tree.length
     raise KeyError(
         f"circuit {placement.circuit.name!r} has no net {net_name!r}"
     )

@@ -1,12 +1,36 @@
-"""Rectilinear Steiner tree tests."""
+"""Rectilinear Steiner tree tests.
+
+The router runs one scalar Prim per Hanan candidate; the numpy form it
+replaced is kept in ``tests.reference.steiner``.  Both make the same
+comparisons in the same order and accumulate lengths edge by edge in
+Prim order, so the agreement tests below demand bitwise equality of
+every ``SteinerTree`` field, not closeness.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.simulate.helpers as sim_helpers
+from repro.annealing import SAParams, anneal_place
+from repro.circuits import PAPER_TESTCASES, make
+from repro.eplace import EPlaceParams, eplace_global
+from repro.gnn import generate_dataset
+from repro.gnn.dataset import _random_packing
 from repro.parasitics import steiner_tree
-from repro.parasitics.steiner import _prim_tree, _tree_length
+from repro.parasitics.steiner import _prim
+
+from ..reference import steiner as ref
+
+
+def assert_same_tree(tree, want):
+    """All four ``SteinerTree`` fields bitwise equal to the reference."""
+    assert tree.points.dtype == want.points.dtype
+    assert np.array_equal(tree.points, want.points)
+    assert tree.edges == want.edges
+    assert tree.num_terminals == want.num_terminals
+    assert tree.length == ref.tree_length(want.points, want.edges)
 
 
 class TestBasics:
@@ -22,7 +46,7 @@ class TestBasics:
     def test_cross_uses_steiner_point(self):
         """4 arms of a cross: MST needs 30, RSMT needs 20."""
         pts = np.array([[0, 5], [10, 5], [5, 0], [5, 10]], dtype=float)
-        mst_len = _tree_length(pts, _prim_tree(pts))
+        mst_len = ref.tree_length(pts, ref.prim_tree(pts))
         tree = steiner_tree(pts)
         assert mst_len == pytest.approx(30.0)
         assert tree.length == pytest.approx(20.0)
@@ -41,7 +65,7 @@ class TestBasics:
 ))
 def test_property_steiner_never_longer_than_mst(points):
     pts = np.asarray(points, dtype=float)
-    mst_len = _tree_length(pts, _prim_tree(pts))
+    mst_len = ref.tree_length(pts, ref.prim_tree(pts))
     tree = steiner_tree(pts)
     assert tree.length <= mst_len + 1e-9
 
@@ -121,3 +145,107 @@ class TestTranslationRegressions:
         pts = np.asarray(self.CASES[1][0], dtype=float)
         tree = steiner_tree(pts)
         assert np.allclose(tree.points[:len(pts)], pts, atol=1e-7)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_raises_with_count(self, bad):
+        pts = np.array([[0.0, 0.0], [3.0, 4.0], [5.0, 1.0]])
+        pts[1, 0] = bad
+        with pytest.raises(ValueError, match="1 of 6 terminal coordinates"):
+            steiner_tree(pts)
+
+    def test_counts_every_bad_coordinate(self):
+        pts = np.array([[np.nan, np.inf], [3.0, 4.0], [np.nan, 1.0]])
+        with pytest.raises(ValueError, match="3 of 6 .* non-finite"):
+            steiner_tree(pts)
+
+    def test_single_terminal_checked_too(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            steiner_tree(np.array([[np.nan, 0.0]]))
+
+
+FAMILIES = ("grid", "gaussian", "duplicates", "offset")
+
+
+def _random_sets(family: str, rng):
+    """Point sets of degree 2-12 from one generator family.
+
+    Fewer sets at high degree, where the numpy reference is slow.
+    """
+    for degree in range(2, 13):
+        for _ in range(6 if degree <= 7 else 2):
+            if family == "grid":
+                pts = np.round(rng.uniform(0.0, 30.0, (degree, 2)), 1)
+            elif family == "gaussian":
+                pts = rng.normal(0.0, 8.0, (degree, 2))
+            elif family == "duplicates":
+                pts = np.round(rng.uniform(0.0, 5.0, (degree, 2)))
+                pts[: degree // 2, 1] = 2.0  # collinear run
+                pts[-1] = pts[0]  # repeated pin
+            else:  # "offset"
+                pts = (np.round(rng.uniform(0.0, 20.0, (degree, 2)), 1)
+                       + rng.uniform(-1e3, 1e3, 2))
+            yield pts
+
+
+class TestMatchesReference:
+    """Bitwise agreement with the numpy router of ``tests.reference``."""
+
+    def test_prim_on_unquantized_points(self):
+        """Edges and length of the scalar Prim, off the canonical grid.
+
+        Inside the Hanan loop every length is exact, so summation
+        order only shows on raw coordinates, as in the final MST
+        fallback.
+        """
+        rng = np.random.default_rng(11)
+        for degree in range(2, 16):
+            for _ in range(10):
+                pts = (rng.normal(0.0, 8.0, (degree, 2))
+                       + rng.uniform(-1e3, 1e3, 2))
+                edges, length = _prim([tuple(p) for p in pts.tolist()])
+                assert edges == ref.prim_tree(pts)
+                assert length == ref.tree_length(pts, edges)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_random_sets(self, family):
+        rng = np.random.default_rng(FAMILIES.index(family))
+        for pts in _random_sets(family, rng):
+            assert_same_tree(steiner_tree(pts), ref.steiner_tree(pts))
+
+    @pytest.mark.parametrize(
+        "case", range(len(TestTranslationRegressions.CASES)))
+    def test_translation_regressions(self, case):
+        pts, shift = TestTranslationRegressions.CASES[case]
+        pts = np.asarray(pts, dtype=float)
+        for p in (pts, pts + np.asarray(shift)):
+            assert_same_tree(steiner_tree(p), ref.steiner_tree(p))
+
+    @pytest.mark.parametrize("name", PAPER_TESTCASES)
+    def test_every_net_of_paper_testcases(self, name):
+        """Every net of a GP, a legal and a random-packing placement."""
+        circuit = make(name)
+        placements = (
+            eplace_global(
+                circuit, EPlaceParams(max_iters=30, min_iters=5)
+            ).placement,
+            anneal_place(
+                circuit, SAParams(iterations=300, seed=1)).placement,
+            _random_packing(circuit, np.random.default_rng(3)),
+        )
+        for placement in placements:
+            for net in circuit.nets:
+                pts = placement.net_pin_positions(net)
+                assert_same_tree(steiner_tree(pts), ref.steiner_tree(pts))
+
+
+def test_fom_labels_equal_with_reference_router(monkeypatch):
+    """CC-OTA dataset FOM labels are unchanged bit for bit."""
+    circuit = make("CC-OTA")
+    seed = anneal_place(circuit, SAParams(iterations=300, seed=1))
+    got = generate_dataset(seed.placement, samples=64, seed=2)
+    monkeypatch.setattr(sim_helpers, "steiner_tree", ref.steiner_tree)
+    want = generate_dataset(seed.placement, samples=64, seed=2)
+    assert np.array_equal(got.foms, want.foms)
+    assert np.array_equal(got.labels, want.labels)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.annealing import SAParams
 from repro.api import place
 from repro.circuits import PAPER_TESTCASES, make
-from repro.simulate import fom, simulate, spec_of
+from repro.simulate import fom, net_length, simulate, spec_of
 from repro.simulate.helpers import aggressor_coupling, coupling_pairs
 
 
@@ -86,3 +87,33 @@ class TestCalibration:
         for name, placement in conv_placements.items():
             assert fom(placement) == pytest.approx(paper[name],
                                                    abs=0.03), name
+
+
+class TestNonFinitePins:
+    """A NaN or infinite pin fails loudly instead of a NaN FOM."""
+
+    @staticmethod
+    def _broken(bad):
+        placement = place(make("CC-OTA"), "annealing",
+                          params=SAParams(iterations=200, seed=1)
+                          ).placement
+        circuit = placement.circuit
+        net = next(n for n in circuit.nets
+                   if n.critical and n.degree >= 2)
+        dev = circuit.device_index()[net.terminals[0].device]
+        placement.x[dev] = bad
+        return placement, net.name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_net_length_names_circuit_and_net(self, bad):
+        placement, name = self._broken(bad)
+        with pytest.raises(ValueError, match=(
+                f"circuit 'CC-OTA', net '{name}': "
+                r"\d+ of \d+ terminal coordinates are non-finite")):
+            net_length(placement, name)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_fom_raises(self, bad):
+        placement, _ = self._broken(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            fom(placement)
