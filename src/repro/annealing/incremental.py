@@ -5,28 +5,32 @@ and recomputed the complete HPWL + area cost from scratch for every
 proposed move — two per-device Python loops per Metropolis step.  This
 module replaces that with an evaluator that maintains, between moves:
 
-* per-device geometry (centre offsets inside the owning block and
-  pin-mirroring signs) plus a flattened per-*pin* offset cache, which
-  change only on flip / island-reorder moves;
-* per-block packed extents (block dims and member bounding boxes, as
-  plain Python lists — numpy call overhead dominates at analog block
-  counts);
-* a per-net bounding-box **span cache**: a move only re-evaluates the
-  nets touched by blocks that actually moved.  For geometry-only moves
-  (flip, island reorder) the dirty-net set, its pin gather indices and
-  its ``reduceat`` boundaries are all static per block and precomputed,
-  and the sequence-pair packing is skipped entirely (block dims are
-  invariant under those moves).
+* per-*pin* offsets inside the owning block, which change only on flip
+  / island-reorder moves (memoized per block geometry);
+* per-block packed extents and the packed block origins;
+* a per-net bounding-box **span cache**: a move only re-spans the
+  nets with a pin on a block that moved or changed shape.  For
+  geometry-only moves (flip, island reorder that keeps the block's
+  dims) that set is static per block, and the sequence-pair packing is
+  skipped entirely.
+
+At analog sizes (2–16 blocks, 6–25 nets, 19–81 pins) numpy dispatch
+costs more than the arithmetic, so the per-move path runs on plain
+Python lists: each net holds its ``(pin, block)`` pairs, each block its
+net list, and the dirty nets are re-spanned in one scalar loop.  The
+from-scratch evaluation (:meth:`IncrementalCostEvaluator.reset`,
+:meth:`~IncrementalCostEvaluator.audit`) stays in numpy as the
+reference the cache is checked against.
 
 Correctness invariant: per-net spans are always *recomputed from pin
-coordinates* for dirty nets — never accumulated as deltas — and per-net
-max/min reductions are order-insensitive, so a clean net's cached span
-is bitwise what a from-scratch evaluation would produce.  There is
-therefore no floating-point drift channel; the periodic
-:meth:`IncrementalCostEvaluator.audit` full recompute exists to catch
-*logic* bugs (stale dirty tracking after a new move type, say) and
-raises :class:`CostDriftError` when the cache disagrees beyond
-``audit_tol``.
+coordinates* for dirty nets — never accumulated as deltas — as
+``max − min + max − min`` in the same order as the numpy reference, and
+max/min are exact, so a cached span is bitwise what a from-scratch
+evaluation would produce.  There is therefore no floating-point drift
+channel; the periodic :meth:`IncrementalCostEvaluator.audit` full
+recompute exists to catch *logic* bugs (stale dirty tracking after a
+new move type, say) and raises :class:`CostDriftError` when the cache
+disagrees beyond ``audit_tol``.
 
 See ``docs/PERFORMANCE.md`` ("Incremental SA cost") for the invariant
 table and the audit policy.
@@ -44,10 +48,6 @@ from ..netlist import Circuit
 from ..placement import Placement
 from .islands import Block
 from .seqpair import SequencePair, pack_lists
-
-#: above this fraction of dirty nets the evaluator recomputes all spans
-#: in one vectorised pass instead of gathering per-net subsets
-FULL_RECOMPUTE_FRACTION = 0.5
 
 
 class CostDriftError(RuntimeError):
@@ -105,17 +105,14 @@ def realize_placement(
 class _BlockGeom(NamedTuple):
     """One block's geometry under a row order and extra flips.
 
-    Pin offsets (over the block's pins) and packed extents feed the
-    span and area kernels; member device offsets and flips (over
-    ``idx``) feed realized placements.
+    Pin offsets (over the block's pins, as lists) and packed extents
+    ``(lo_x, hi_x, lo_y, hi_y)`` feed the span and area kernels; member
+    device offsets and flips (over ``idx``) feed realized placements.
     """
 
-    pin_rel_x: np.ndarray
-    pin_rel_y: np.ndarray
-    lo_x: float
-    hi_x: float
-    lo_y: float
-    hi_y: float
+    pin_rel_x: list[float]
+    pin_rel_y: list[float]
+    ext: tuple[float, float, float, float]
     idx: np.ndarray
     rel_x: np.ndarray
     rel_y: np.ndarray
@@ -126,37 +123,30 @@ class _BlockGeom(NamedTuple):
 class _Cache:
     """One fully evaluated SA state (committed or pending).
 
-    Device/pin fields are numpy (fancy-indexed by the span kernels);
-    per-block fields are plain lists (only ever indexed one element at
-    a time, where list access beats numpy scalar access severalfold).
+    Per-pin, per-block and per-net fields are plain lists (read one
+    element at a time, where list access beats numpy scalar access
+    severalfold); the device-level arrays ``rel_x`` … ``fy`` only feed
+    realized placements for a cost hook.  A candidate aliases every
+    list of the state it was proposed from and copies only the ones
+    its move writes.
     """
 
     __slots__ = (
-        "rel_x", "rel_y", "sign_x", "sign_y", "fx", "fy",
-        "pin_rel_x", "pin_rel_y",
-        "block_w", "block_h",
-        "ext_lo_x", "ext_hi_x", "ext_lo_y", "ext_hi_y",
-        "bx_l", "by_l", "bx", "by", "spans", "hpwl", "cost",
+        "rel_x", "rel_y", "fx", "fy", "pin_rel_x", "pin_rel_y",
+        "block_w", "block_h", "ext", "bx", "by", "spans", "hpwl", "cost",
     )
 
     def shallow(self) -> "_Cache":
         out = _Cache()
         out.rel_x = self.rel_x
         out.rel_y = self.rel_y
-        out.sign_x = self.sign_x
-        out.sign_y = self.sign_y
         out.fx = self.fx
         out.fy = self.fy
         out.pin_rel_x = self.pin_rel_x
         out.pin_rel_y = self.pin_rel_y
         out.block_w = self.block_w
         out.block_h = self.block_h
-        out.ext_lo_x = self.ext_lo_x
-        out.ext_hi_x = self.ext_hi_x
-        out.ext_lo_y = self.ext_lo_y
-        out.ext_hi_y = self.ext_hi_y
-        out.bx_l = self.bx_l
-        out.by_l = self.by_l
+        out.ext = self.ext
         out.bx = self.bx
         out.by = self.by
         out.spans = self.spans
@@ -212,22 +202,14 @@ class IncrementalCostEvaluator:
         self.full_evals = 0
         self.dirty_nets = 0  # cumulative nets re-spanned incrementally
 
-        n = circuit.num_devices
-        self._dev_block = np.zeros(n, dtype=int)
+        self._dev_block = np.zeros(circuit.num_devices, dtype=int)
         self._pin_block: "np.ndarray | None" = None  # set on first reset
-        # static per-block structures, built on first reset (device →
-        # block membership is invariant: reorder moves permute devices
+        # pin/net/block incidence, built on first reset (device → block
+        # membership is invariant: reorder moves permute devices
         # *inside* a block, never across blocks)
-        self._block_pins: list[np.ndarray] = []
-        self._block_net_mask: list[np.ndarray] = []
-        self._block_net_count: list[int] = []
-        self._block_dirty_pins: list[np.ndarray] = []
-        self._block_dirty_pb: list[np.ndarray] = []
-        self._block_sub_starts: list[np.ndarray] = []
-        # per-net pin counts, for carving dirty-net segment boundaries
-        self._pin_counts = np.diff(
-            np.append(arrays.starts, arrays.num_pins)
-        )
+        self._net_pins: list[tuple[tuple[int, int], ...]] = []
+        self._block_pins: list[list[int]] = []
+        self._block_nets: list[list[int]] = []
         # block geometry is a pure function of (block index, row order,
         # extra flips); SA revisits the same handful of geometries per
         # block thousands of times, so pin offsets, extents and member
@@ -256,20 +238,18 @@ class IncrementalCostEvaluator:
         pair: SequencePair,
         free_flips: dict[int, tuple[bool, bool]],
     ) -> _Cache:
+        """The numpy from-scratch evaluation every cache is checked
+        against."""
         self.full_evals += 1
         n = self.circuit.num_devices
-        nb = len(blocks)
         cache = _Cache()
         cache.rel_x = np.zeros(n)
         cache.rel_y = np.zeros(n)
         cache.fx = np.zeros(n, dtype=bool)
         cache.fy = np.zeros(n, dtype=bool)
-        cache.block_w = [0.0] * nb
-        cache.block_h = [0.0] * nb
-        cache.ext_lo_x = [0.0] * nb
-        cache.ext_hi_x = [0.0] * nb
-        cache.ext_lo_y = [0.0] * nb
-        cache.ext_hi_y = [0.0] * nb
+        cache.block_w = [block.width for block in blocks]
+        cache.block_h = [block.height for block in blocks]
+        cache.ext = []
         for k, block in enumerate(blocks):
             efx, efy = free_flips.get(k, (False, False))
             idx = np.asarray(block.device_indices, dtype=int)
@@ -279,66 +259,53 @@ class IncrementalCostEvaluator:
             cache.fx[idx] = bfx
             cache.fy[idx] = bfy
             self._dev_block[idx] = k
-            cache.block_w[k] = block.width
-            cache.block_h[k] = block.height
-            cache.ext_lo_x[k] = float((rel_x - self.half_w[idx]).min())
-            cache.ext_hi_x[k] = float((rel_x + self.half_w[idx]).max())
-            cache.ext_lo_y[k] = float((rel_y - self.half_h[idx]).min())
-            cache.ext_hi_y[k] = float((rel_y + self.half_h[idx]).max())
-        cache.sign_x = np.where(cache.fx, -1.0, 1.0)
-        cache.sign_y = np.where(cache.fy, -1.0, 1.0)
+            cache.ext.append((
+                float((rel_x - self.half_w[idx]).min()),
+                float((rel_x + self.half_w[idx]).max()),
+                float((rel_y - self.half_h[idx]).min()),
+                float((rel_y + self.half_h[idx]).max()),
+            ))
+        sign_x = np.where(cache.fx, -1.0, 1.0)
+        sign_y = np.where(cache.fy, -1.0, 1.0)
 
         a = self.arrays
         if self._pin_block is None:
             self._pin_block = self._dev_block[a.pin_dev]
-            self._build_static(nb)
-        cache.pin_rel_x = (
-            cache.rel_x[a.pin_dev]
-            + a.pin_offx * cache.sign_x[a.pin_dev]
-        )
-        cache.pin_rel_y = (
-            cache.rel_y[a.pin_dev]
-            + a.pin_offy * cache.sign_y[a.pin_dev]
-        )
-        cache.bx_l, cache.by_l = pack_lists(
+            self._link(len(blocks))
+        pin_rel_x = cache.rel_x[a.pin_dev] + a.pin_offx * sign_x[a.pin_dev]
+        pin_rel_y = cache.rel_y[a.pin_dev] + a.pin_offy * sign_y[a.pin_dev]
+        cache.pin_rel_x = pin_rel_x.tolist()
+        cache.pin_rel_y = pin_rel_y.tolist()
+        cache.bx, cache.by = pack_lists(
             pair.plus, pair.minus, cache.block_w, cache.block_h
         )
-        cache.bx = np.asarray(cache.bx_l)
-        cache.by = np.asarray(cache.by_l)
-        cache.spans = self._spans_all(cache)
+        px = np.asarray(cache.bx)[self._pin_block] + pin_rel_x
+        py = np.asarray(cache.by)[self._pin_block] + pin_rel_y
+        cache.spans = (
+            np.maximum.reduceat(px, a.starts)
+            - np.minimum.reduceat(px, a.starts)
+            + np.maximum.reduceat(py, a.starts)
+            - np.minimum.reduceat(py, a.starts)
+        ).tolist()
         self._finish(cache)
         return cache
 
-    def _build_static(self, nb: int) -> None:
-        """Precompute per-block dirty-net structures.
-
-        For a geometry-only move of block ``k`` the dirty nets are
-        exactly the nets with a pin on ``k`` — a static set, so the
-        net mask, the gather indices of *all* pins on those nets and
-        the ``reduceat`` segment boundaries are computed once.
-        """
+    def _link(self, nb: int) -> None:
+        """Pin/net/block incidence lists for the per-move kernels."""
         a = self.arrays
-        pin_block = self._pin_block
-        assert pin_block is not None
-        for k in range(nb):
-            pins_k = np.flatnonzero(pin_block == k)
-            self._block_pins.append(pins_k)
-            if a.num_nets:
-                on_block = np.zeros(a.num_nets, dtype=bool)
-                on_block[np.unique(a.pin_net[pins_k])] = True
-            else:
-                on_block = np.zeros(0, dtype=bool)
-            self._block_net_mask.append(on_block)
-            self._block_net_count.append(int(np.count_nonzero(on_block)))
-            # all pins of those nets; pin order is net-major, so
-            # flatnonzero keeps reduceat segments contiguous
-            dirty_pins = np.flatnonzero(on_block[a.pin_net])
-            self._block_dirty_pins.append(dirty_pins)
-            self._block_dirty_pb.append(pin_block[dirty_pins])
-            counts = self._pin_counts[on_block]
-            self._block_sub_starts.append(
-                np.concatenate(([0], np.cumsum(counts)[:-1])).astype(int)
-            )
+        pin_block = self._pin_block.tolist()
+        ends = a.starts.tolist()[1:] + [a.num_pins]
+        self._net_pins = [
+            tuple((p, pin_block[p]) for p in range(s, e))
+            for s, e in zip(a.starts.tolist(), ends)
+        ]
+        self._block_pins = [[] for _ in range(nb)]
+        self._block_nets = [[] for _ in range(nb)]
+        for p, k in enumerate(pin_block):
+            self._block_pins[k].append(p)
+        for j, pins in enumerate(self._net_pins):
+            for k in sorted({k for _, k in pins}):
+                self._block_nets[k].append(j)
 
     # -- incremental evaluation ---------------------------------------
     def propose(
@@ -349,7 +316,12 @@ class IncrementalCostEvaluator:
         touched_block: "int | None",
     ) -> float:
         """Cost of a candidate differing from the current state by one
-        move; cached as *pending* until :meth:`commit`."""
+        move; cached as *pending* until :meth:`commit`.
+
+        The dirty nets are those with a pin on a block that moved or
+        changed shape; each is re-spanned from its pins, every other
+        span is shared with the current state.
+        """
         cur = self._cur
         if cur is None:
             raise RuntimeError("evaluator has no current state; call reset")
@@ -364,30 +336,42 @@ class IncrementalCostEvaluator:
         ):
             # geometry-only move: dims and pair unchanged, so the
             # packing (bx/by, shared via the shallow copy) is still
-            # valid and the dirty-net set is the precomputed one
-            n_dirty = self._block_net_count[k]
-            self.dirty_nets += int(n_dirty)
-            if n_dirty == 0:
-                pass  # spans shared via the shallow copy
-            elif n_dirty >= self.arrays.num_nets * \
-                    FULL_RECOMPUTE_FRACTION:
-                cand.spans = self._spans_all(cand)
-            else:
-                cand.spans = self._spans_subset(cand, cur, k)
+            # valid and only the block's own nets are dirty
+            dirty: "list[int] | set[int]" = self._block_nets[k]
         else:
-            cand.bx_l, cand.by_l = pack_lists(
+            bx, by = cand.bx, cand.by = pack_lists(
                 pair.plus, pair.minus, cand.block_w, cand.block_h
             )
-            if k is None and cand.bx_l == cur.bx_l \
-                    and cand.by_l == cur.by_l:
-                pass  # no block moved: bx/by/spans shared as-is
-            else:
-                cand.bx = np.asarray(cand.bx_l)
-                cand.by = np.asarray(cand.by_l)
-                moved = (cand.bx != cur.bx) | (cand.by != cur.by)
-                if k is not None:
-                    moved[k] = True
-                cand.spans = self._spans_update(cand, cur, moved)
+            bx0, by0 = cur.bx, cur.by
+            dirty = set().union(*(
+                self._block_nets[b] for b in range(len(bx))
+                if b == k or bx[b] != bx0[b] or by[b] != by0[b]
+            ))
+        if dirty:
+            self.dirty_nets += len(dirty)
+            bx, by = cand.bx, cand.by
+            prx, pry = cand.pin_rel_x, cand.pin_rel_y
+            net_pins = self._net_pins
+            spans = list(cur.spans)
+            for j in dirty:
+                pins = net_pins[j]
+                p, b = pins[0]
+                lo_x = hi_x = bx[b] + prx[p]
+                lo_y = hi_y = by[b] + pry[p]
+                # first extreme wins ties, as in the reference reduceat
+                for p, b in pins:
+                    v = bx[b] + prx[p]
+                    if v > hi_x:
+                        hi_x = v
+                    elif v < lo_x:
+                        lo_x = v
+                    v = by[b] + pry[p]
+                    if v > hi_y:
+                        hi_y = v
+                    elif v < lo_y:
+                        lo_y = v
+                spans[j] = hi_x - lo_x + hi_y - lo_y
+            cand.spans = spans
         self._finish(cand)
         self._pending = cand
         self.incremental_evals += 1
@@ -408,7 +392,7 @@ class IncrementalCostEvaluator:
             a = self.arrays
             rel_x, rel_y, bfx, bfy = block_geometry(block, efx, efy)
             idx = np.asarray(block.device_indices, dtype=int)
-            psel = self._block_pins[k]
+            psel = np.asarray(self._block_pins[k], dtype=int)
             # pin → member-position map under this row order
             pos = {d: i for i, d in enumerate(block.device_indices)}
             mem = np.array(
@@ -421,12 +405,18 @@ class IncrementalCostEvaluator:
             rel_x = np.atleast_1d(rel_x)
             rel_y = np.atleast_1d(rel_y)
             geom = _BlockGeom(
-                pin_rel_x=rel_x[mem] + a.pin_offx[psel] * sign_x[mem],
-                pin_rel_y=rel_y[mem] + a.pin_offy[psel] * sign_y[mem],
-                lo_x=float((rel_x - self.half_w[idx]).min()),
-                hi_x=float((rel_x + self.half_w[idx]).max()),
-                lo_y=float((rel_y - self.half_h[idx]).min()),
-                hi_y=float((rel_y + self.half_h[idx]).max()),
+                pin_rel_x=(
+                    rel_x[mem] + a.pin_offx[psel] * sign_x[mem]
+                ).tolist(),
+                pin_rel_y=(
+                    rel_y[mem] + a.pin_offy[psel] * sign_y[mem]
+                ).tolist(),
+                ext=(
+                    float((rel_x - self.half_w[idx]).min()),
+                    float((rel_x + self.half_w[idx]).max()),
+                    float((rel_y - self.half_h[idx]).min()),
+                    float((rel_y + self.half_h[idx]).max()),
+                ),
                 idx=idx, rel_x=rel_x, rel_y=rel_y, fx=bfx, fy=bfy,
             )
             self._geom_cache[key] = geom
@@ -444,7 +434,6 @@ class IncrementalCostEvaluator:
         The candidate's *device*-level arrays (``rel_x`` … ``fy``) are
         refreshed only when a cost hook realizes candidates; the span
         and area kernels read just the pin offsets and extents.
-        ``sign_x``/``sign_y`` stay full-evaluation artifacts.
         """
         block = blocks[k]
         efx, efy = free_flips.get(k, (False, False))
@@ -455,20 +444,15 @@ class IncrementalCostEvaluator:
             cand.block_h = list(cand.block_h)
             cand.block_w[k] = block.width
             cand.block_h[k] = block.height
-        cand.ext_lo_x = list(cand.ext_lo_x)
-        cand.ext_hi_x = list(cand.ext_hi_x)
-        cand.ext_lo_y = list(cand.ext_lo_y)
-        cand.ext_hi_y = list(cand.ext_hi_y)
-        cand.ext_lo_x[k] = geom.lo_x
-        cand.ext_hi_x[k] = geom.hi_x
-        cand.ext_lo_y[k] = geom.lo_y
-        cand.ext_hi_y[k] = geom.hi_y
-        psel = self._block_pins[k]
-        if len(psel):
-            cand.pin_rel_x = cand.pin_rel_x.copy()
-            cand.pin_rel_y = cand.pin_rel_y.copy()
-            cand.pin_rel_x[psel] = geom.pin_rel_x
-            cand.pin_rel_y[psel] = geom.pin_rel_y
+        cand.ext = list(cand.ext)
+        cand.ext[k] = geom.ext
+        pins = self._block_pins[k]
+        if pins:
+            prx = cand.pin_rel_x = list(cand.pin_rel_x)
+            pry = cand.pin_rel_y = list(cand.pin_rel_y)
+            for p, vx, vy in zip(pins, geom.pin_rel_x, geom.pin_rel_y):
+                prx[p] = vx
+                pry[p] = vy
         if self._hooked:
             cand.rel_x = cand.rel_x.copy()
             cand.rel_y = cand.rel_y.copy()
@@ -493,84 +477,34 @@ class IncrementalCostEvaluator:
             raise RuntimeError("evaluator has no current state")
         return self._cur.cost
 
-    # -- span computation ---------------------------------------------
-    def _spans_all(self, cache: _Cache) -> np.ndarray:
-        a = self.arrays
-        px = cache.bx[self._pin_block] + cache.pin_rel_x
-        py = cache.by[self._pin_block] + cache.pin_rel_y
-        return (
-            np.maximum.reduceat(px, a.starts)
-            - np.minimum.reduceat(px, a.starts)
-            + np.maximum.reduceat(py, a.starts)
-            - np.minimum.reduceat(py, a.starts)
-        )
-
-    def _spans_subset(
-        self, cand: _Cache, cur: _Cache, k: int
-    ) -> np.ndarray:
-        """Candidate spans after a geometry-only move of block ``k``,
-        recomputing exactly the nets with a pin on that block."""
-        pins = self._block_dirty_pins[k]
-        px = cand.bx[self._block_dirty_pb[k]] + cand.pin_rel_x[pins]
-        py = cand.by[self._block_dirty_pb[k]] + cand.pin_rel_y[pins]
-        ss = self._block_sub_starts[k]
-        sub = (
-            np.maximum.reduceat(px, ss)
-            - np.minimum.reduceat(px, ss)
-            + np.maximum.reduceat(py, ss)
-            - np.minimum.reduceat(py, ss)
-        )
-        spans = cur.spans.copy()
-        spans[self._block_net_mask[k]] = sub
-        return spans
-
-    def _spans_update(
-        self, cand: _Cache, cur: _Cache, moved: np.ndarray
-    ) -> np.ndarray:
-        """Candidate span vector, recomputing only dirty nets.
-
-        A net is dirty when any of its pins sits on a block that moved
-        or changed geometry.  Clean nets keep their cached span — valid
-        because per-net max/min reductions are order-insensitive, so a
-        cached span is bitwise what a full recompute would produce.
-        """
-        a = self.arrays
-        if a.num_nets == 0:
-            return cur.spans
-        net_dirty = np.logical_or.reduceat(
-            moved[self._pin_block], a.starts
-        )
-        n_dirty = int(np.count_nonzero(net_dirty))
-        self.dirty_nets += n_dirty
-        if n_dirty == 0:
-            return cur.spans
-        if n_dirty >= a.num_nets * FULL_RECOMPUTE_FRACTION:
-            return self._spans_all(cand)
-        pins = net_dirty[a.pin_net]
-        pb = self._pin_block[pins]
-        px = cand.bx[pb] + cand.pin_rel_x[pins]
-        py = cand.by[pb] + cand.pin_rel_y[pins]
-        counts = self._pin_counts[net_dirty]
-        sub_starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        sub = (
-            np.maximum.reduceat(px, sub_starts)
-            - np.minimum.reduceat(px, sub_starts)
-            + np.maximum.reduceat(py, sub_starts)
-            - np.minimum.reduceat(py, sub_starts)
-        )
-        spans = cur.spans.copy()
-        spans[net_dirty] = sub
-        return spans
-
     # -- cost assembly -------------------------------------------------
     def _finish(self, cache: _Cache) -> None:
-        """HPWL + area (+ optional performance hook) from the caches."""
+        """HPWL + area (+ optional performance hook) from the caches.
+
+        HPWL stays ``np.dot``: BLAS accumulates in a different order
+        from a Python sum, and the two differ in the last bit.
+        """
         cache.hpwl = float(np.dot(self.arrays.weights, cache.spans))
-        bx_l, by_l = cache.bx_l, cache.by_l
-        w = max(b + e for b, e in zip(bx_l, cache.ext_hi_x)) \
-            - min(b + e for b, e in zip(bx_l, cache.ext_lo_x))
-        h = max(b + e for b, e in zip(by_l, cache.ext_hi_y)) \
-            - min(b + e for b, e in zip(by_l, cache.ext_lo_y))
+        inf = float("inf")
+        lo_x = lo_y = inf
+        hi_x = hi_y = -inf
+        # first extreme wins ties, as in max()/min()
+        for bx, by, (elx, ehx, ely, ehy) in zip(
+                cache.bx, cache.by, cache.ext):
+            v = bx + elx
+            if v < lo_x:
+                lo_x = v
+            v = bx + ehx
+            if v > hi_x:
+                hi_x = v
+            v = by + ely
+            if v < lo_y:
+                lo_y = v
+            v = by + ehy
+            if v > hi_y:
+                hi_y = v
+        w = hi_x - lo_x
+        h = hi_y - lo_y
         cost = (
             cache.hpwl / self.hpwl_norm
             + self.area_weight * (w * h) / self.area_norm
@@ -581,8 +515,8 @@ class IncrementalCostEvaluator:
             dev_block = self._dev_block
             placement = Placement(
                 self.circuit,
-                cache.bx[dev_block] + cache.rel_x,
-                cache.by[dev_block] + cache.rel_y,
+                np.asarray(cache.bx)[dev_block] + cache.rel_x,
+                np.asarray(cache.by)[dev_block] + cache.rel_y,
                 cache.fx, cache.fy,
             )
             cost += self.perf_weight * self.cost_hook(placement)
@@ -608,8 +542,8 @@ class IncrementalCostEvaluator:
         self.audits += 1
         deviation = abs(fresh.cost - cached.cost)
         span_dev = (
-            float(np.abs(fresh.spans - cached.spans).max())
-            if len(fresh.spans) else 0.0
+            float(np.abs(np.subtract(fresh.spans, cached.spans)).max())
+            if fresh.spans else 0.0
         )
         scale = max(abs(fresh.cost), 1.0)
         if deviation > self.audit_tol * scale or \

@@ -532,7 +532,8 @@ def iterate_directions(
     """Re-solve with directions re-derived from each legal solution.
 
     Stops at a fixpoint (no score improvement) or after
-    ``params.iterate_rounds`` rounds; returns the best placement seen.
+    ``params.iterate_rounds`` rounds; returns the best placement seen,
+    the input included (on a tie with the input, the re-solved one).
     """
     best = placement
     best_score = np.inf
@@ -546,6 +547,8 @@ def iterate_directions(
                 best, best_score = current, score
             break
         best, best_score = current, score
+    if best_score > _score(placement, params):
+        return placement, rounds
     return best, rounds
 
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..netlist import Axis
+from ..netlist.order import topological_order
 from ..placement import Placement
 
 HORIZONTAL = "h"
@@ -156,21 +157,14 @@ def _global_rank(
     per-pair decision could cycle (chain forces F5<F10, geometry says
     F10<F6<F5).
     """
-    import networkx as nx
-
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(forced_edges)
-    rank = [0] * n
-    try:
-        order = nx.lexicographical_topological_sort(
-            graph, key=lambda node: keys[node])
-        for position, node in enumerate(order):
-            rank[node] = position
-    except nx.NetworkXUnfeasible as exc:
+    order = topological_order(n, forced_edges, keys)
+    if len(order) < n:
         raise ValueError(
             "ordering chains are cyclic; no placement can satisfy them"
-        ) from exc
+        )
+    rank = [0] * n
+    for position, node in enumerate(order):
+        rank[node] = position
     return rank
 
 

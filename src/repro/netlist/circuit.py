@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
 import numpy as np
 
 from .constraints import Axis, ConstraintSet
 from .device import Device
 from .net import Net
+from .order import find_cycle
 
 
 class CircuitError(ValueError):
@@ -170,45 +170,17 @@ class Circuit:
                 )
             seen.update(group.devices)
         for axis in Axis:
-            order = nx.DiGraph()
-            for chain in self.constraints.orderings:
-                if chain.axis is axis:
-                    order.add_edges_from(chain.pairs)
-            try:
-                cycle = nx.find_cycle(order)
-            except nx.NetworkXNoCycle:
-                continue
-            raise CircuitError(
-                f"{axis.value} ordering chains are cyclic through "
-                f"{[edge[0] for edge in cycle]}; no placement can satisfy them"
+            cycle = find_cycle(
+                edge
+                for chain in self.constraints.orderings
+                if chain.axis is axis
+                for edge in chain.pairs
             )
-
-    # ------------------------------------------------------------------
-    # graph view
-    # ------------------------------------------------------------------
-    def to_graph(self) -> nx.Graph:
-        """Clique-expanded connectivity graph for GNN features.
-
-        Each net of degree :math:`d` contributes edges among all its
-        device pairs with weight :math:`w_e \\cdot 2/d` (the standard
-        clique net model), accumulated over parallel nets.
-        """
-        graph = nx.Graph()
-        for name, device in self.devices.items():
-            graph.add_node(name, dtype=device.dtype, width=device.width,
-                           height=device.height)
-        for net in self.nets:
-            devs = net.devices
-            if len(devs) < 2:
-                continue
-            edge_weight = net.weight * 2.0 / len(devs)
-            for i, a in enumerate(devs):
-                for b in devs[i + 1:]:
-                    if graph.has_edge(a, b):
-                        graph[a][b]["weight"] += edge_weight
-                    else:
-                        graph.add_edge(a, b, weight=edge_weight)
-        return graph
+            if cycle is not None:
+                raise CircuitError(
+                    f"{axis.value} ordering chains are cyclic through "
+                    f"{cycle}; no placement can satisfy them"
+                )
 
     def __repr__(self) -> str:
         return (

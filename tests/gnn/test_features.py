@@ -20,6 +20,8 @@ import pytest
 from repro.annealing import SAParams, anneal_place
 from repro.circuits import PAPER_TESTCASES, make
 from repro.gnn import FeatureEncoder, PerformanceModel, generate_dataset
+from repro.gnn.features import _clique_adjacency
+from repro.netlist import Circuit, Device, DeviceType, Net
 from repro.placement import Placement
 
 from ..reference import features as ref
@@ -101,3 +103,33 @@ def test_model_inference_matches_reference(quick_models, name):
         assert phi == want_phi
         assert np.array_equal(gx, want_x)
         assert np.array_equal(gy, want_y)
+
+
+# -- clique-model adjacency ----------------------------------------------
+
+
+def test_clique_adjacency_weights(tiny_circuit):
+    adj = _clique_adjacency(tiny_circuit, critical_only=False)
+    index = tiny_circuit.device_index()
+    assert adj.shape == (4, 4)
+    assert np.array_equal(adj, adj.T)
+    # n2 (weight 2, degree 3) contributes 2*2/3 to each pair
+    assert adj[index["B"], index["C"]] == pytest.approx(4.0 / 3.0)
+    assert adj[index["C"], index["D"]] == pytest.approx(4.0 / 3.0)
+    # n1 (weight 1, degree 2) contributes 1.0
+    assert adj[index["A"], index["C"]] == pytest.approx(1.0)
+    # only n2 is critical
+    crit = _clique_adjacency(tiny_circuit, critical_only=True)
+    assert crit[index["A"], index["C"]] == 0.0
+    assert crit[index["B"], index["D"]] == pytest.approx(4.0 / 3.0)
+
+
+def test_parallel_nets_accumulate_clique_weight():
+    c = Circuit("c")
+    for name in ("A", "B"):
+        c.add_device(Device(name, DeviceType.NMOS, width=2.0, height=2.0))
+    c.add_net(Net("n1", ["A", "B"]))
+    c.add_net(Net("n2", ["A", "B"]))
+    adj = _clique_adjacency(c, critical_only=False)
+    assert adj[0, 1] == pytest.approx(2.0)
+    assert adj[1, 0] == pytest.approx(2.0)

@@ -90,6 +90,54 @@ class TestILP:
             assert key in result.stats
 
 
+class TestIterateDirections:
+    """``iterate_directions`` returns the best placement seen, input
+    included; each test stubs the MILP with a fixed answer."""
+
+    @staticmethod
+    def _run(monkeypatch, legal, answer, rounds=3):
+        from repro.legalize import ilp
+
+        calls = []
+
+        def solve(placement, params):
+            calls.append(placement)
+            return answer, {}
+
+        monkeypatch.setattr(ilp, "_solve_model", solve)
+        result, used = ilp.iterate_directions(
+            legal, DetailedParams(iterate_rounds=rounds))
+        return result, used, calls
+
+    @pytest.fixture(scope="class")
+    def legal(self, ccota_gp):
+        return ilp_detailed_placement(
+            ccota_gp,
+            DetailedParams(iterate_rounds=1, refine_rounds=0),
+        ).placement
+
+    def test_worse_solve_returns_the_input(self, monkeypatch, legal):
+        # spreading every device apart keeps it legal but scores worse
+        worse = Placement(legal.circuit, legal.x * 2.0, legal.y * 2.0,
+                          legal.flip_x, legal.flip_y)
+        result, used, calls = self._run(monkeypatch, legal, worse)
+        assert result is legal
+        assert used == 2  # round 2 re-solves to the same score: fixpoint
+        assert calls == [legal, worse]
+
+    def test_tie_keeps_the_resolved_placement(self, monkeypatch, legal):
+        same = Placement(legal.circuit, legal.x.copy(), legal.y.copy(),
+                         legal.flip_x, legal.flip_y)
+        result, used, _ = self._run(monkeypatch, legal, same)
+        assert result is same
+        assert used == 2
+
+    def test_no_rounds_returns_the_input(self, monkeypatch, legal):
+        result, used, calls = self._run(monkeypatch, legal, None,
+                                        rounds=0)
+        assert result is legal and used == 0 and not calls
+
+
 class TestLPTwoStage:
     def test_legal_and_constraint_exact(self, ccota_gp):
         result = lp_two_stage_detailed_placement(ccota_gp)

@@ -150,26 +150,6 @@ def test_net_pin_arrays_offsets_from_centre(tiny_circuit):
     assert offy[0] == pytest.approx(0.0)
 
 
-def test_to_graph_clique_weights(tiny_circuit):
-    g = tiny_circuit.to_graph()
-    assert g.number_of_nodes() == 4
-    # n2 (weight 2, degree 3) contributes 2*2/3 to each pair
-    assert g["B"]["C"]["weight"] == pytest.approx(4.0 / 3.0)
-    assert g["C"]["D"]["weight"] == pytest.approx(4.0 / 3.0)
-    # n1 (weight 1, degree 2) contributes 1.0
-    assert g["A"]["C"]["weight"] == pytest.approx(1.0)
-
-
-def test_parallel_nets_accumulate_graph_weight():
-    c = Circuit("c")
-    c.add_device(_mos("A"))
-    c.add_device(_mos("B"))
-    c.add_net(Net("n1", ["A", "B"]))
-    c.add_net(Net("n2", ["A", "B"]))
-    g = c.to_graph()
-    assert g["A"]["B"]["weight"] == pytest.approx(2.0)
-
-
 def test_repr_mentions_counts(tiny_circuit):
     text = repr(tiny_circuit)
     assert "devices=4" in text

@@ -19,7 +19,7 @@ from repro.eplace import EPlaceParams, eplace_global
 from repro.gnn import generate_dataset
 from repro.gnn.dataset import _random_packing
 from repro.parasitics import steiner_tree
-from repro.parasitics.steiner import _prim
+from repro.parasitics.steiner import _canonicalize, _prim
 
 from ..reference import steiner as ref
 
@@ -163,6 +163,48 @@ class TestNonFinite:
     def test_single_terminal_checked_too(self):
         with pytest.raises(ValueError, match="non-finite"):
             steiner_tree(np.array([[np.nan, 0.0]]))
+
+
+class TestRarePaths:
+    """Inputs that reach the two rarely taken branches of the router.
+
+    Both were found by random search (about one 8-point set in 50,000
+    uniform ones prunes; the fallback needs coordinates that snapping
+    merges) and are pinned here, equal to the reference as well.
+    """
+
+    #: on the 0.1 µm grid: a later Hanan insertion leaves an earlier
+    #: Steiner point as a leaf of the MST, and it is pruned
+    PRUNED = np.array([[3.2, 7.8], [5.3, 9.4], [0.7, 0.8], [0.7, 4.2],
+                       [3.4, 8.4], [6.7, 8.0], [2.1, 9.7], [5.5, 4.7]])
+
+    #: span just over 2**31, so the quantum is 0.5 and the first two
+    #: terminals snap onto one point; the Steiner point that shortens
+    #: the canonical tree lengthens the exact one, so the MST comes back
+    FALLBACK = np.array([[0.0, 2147483648.25], [-0.25, 2147483647.75],
+                         [0.25, 0.0], [2147483647.75, 2147483647.75]])
+
+    def test_leaf_steiner_point_is_pruned(self):
+        tree = steiner_tree(self.PRUNED)
+        assert_same_tree(tree, ref.steiner_tree(self.PRUNED))
+        degree = [0] * len(tree.points)
+        for a, b in tree.edges:
+            degree[a] += 1
+            degree[b] += 1
+        assert len(tree.points) > tree.num_terminals
+        assert min(degree[tree.num_terminals:]) >= 2
+
+    def test_snapping_falls_back_to_the_mst(self):
+        tree = steiner_tree(self.FALLBACK)
+        assert_same_tree(tree, ref.steiner_tree(self.FALLBACK))
+        edges, length = _prim([(x, y) for x, y in self.FALLBACK.tolist()])
+        assert np.array_equal(tree.points, self.FALLBACK)
+        assert tree.edges == tuple(edges)
+        assert tree.length == length
+        # in canonical coordinates a Hanan point did shorten the tree
+        canon = [(x, y) for x, y in _canonicalize(self.FALLBACK).tolist()]
+        assert canon[0] == canon[1]
+        assert _prim(canon + [(0.5, 2.0**31)])[1] < _prim(canon)[1]
 
 
 FAMILIES = ("grid", "gaussian", "duplicates", "offset")
