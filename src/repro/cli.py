@@ -13,10 +13,7 @@ Commands:
 * ``runs`` — inspect the persistent run registry
   (:mod:`repro.obs.registry`): ``list``/``show``/``compare``/``gc``
   over the run directories that ``place --save-run`` and ``table
-  --save-run`` record;
-* ``serve`` — run the placement service (:mod:`repro.service`): an
-  HTTP/JSON job API with queueing, fingerprint dedupe, cancellation
-  and NDJSON event streaming; see docs/SERVICE.md.
+  --save-run`` record.
 
 Global ``-v``/``-vv`` raises the ``repro.*`` logging level (INFO /
 DEBUG) for solver diagnostics.
@@ -548,59 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--dry-run", action="store_true",
                       help="report deletions without touching disk")
 
-    p_serve = sub.add_parser(
-        "serve",
-        help="run the placement service (HTTP/JSON job API)",
-    )
-    p_serve.add_argument(
-        "--host", default="127.0.0.1",
-        help="bind address (default: 127.0.0.1)",
-    )
-    p_serve.add_argument(
-        "--port", type=int, default=8357,
-        help="TCP port (default: 8357; 0 = ephemeral)",
-    )
-    p_serve.add_argument(
-        "--workers", type=int, default=2,
-        help="placement worker threads, one forked child each "
-             "(default: 2)",
-    )
-    p_serve.add_argument(
-        "--queue-depth", type=int, default=16,
-        help="bounded job queue depth; full -> HTTP 503 "
-             "(default: 16)",
-    )
-    p_serve.add_argument(
-        "--runs-root", default=None,
-        help="run registry root for finished jobs "
-             "(default: $REPRO_RUNS_DIR or ./runs)",
-    )
-    p_serve.add_argument(
-        "--timeout", type=float, default=None, dest="timeout_s",
-        metavar="SECONDS",
-        help="default per-job wall-time budget "
-             "(default: none; requests may set timeout_s)",
-    )
     return parser
-
-
-def _cmd_serve(args) -> int:
-    # imported lazily: the service pulls in http.server and the full
-    # engine stack, which the other subcommands never need
-    from .service import ServiceConfig, serve
-
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        workers=args.workers,
-        queue_depth=args.queue_depth,
-        runs_root=args.runs_root,
-        timeout_s=args.timeout_s,
-    )
-    if args.verbose == 0:
-        # a server with silent logs is unusable; default to INFO
-        obs.configure_logging(1)
-    return serve(config)
 
 
 def main(argv=None) -> int:
@@ -612,7 +557,6 @@ def main(argv=None) -> int:
         "simulate": _cmd_simulate,
         "table": _cmd_table,
         "runs": _cmd_runs,
-        "serve": _cmd_serve,
     }
     return handlers[args.command](args)
 

@@ -14,15 +14,11 @@ from typing import Iterator
 from ..core import Finding, ModuleInfo, Rule, register
 
 #: packages whose PlacerResult-returning entry points must open spans.
-#: repro/service/ is included so any placement-returning surface the
-#: service grows is held to the same span/progress contract as the
-#: engines it fronts.
 _ENGINE_SCOPES = (
     "repro/eplace/",
     "repro/xu_ispd19/",
     "repro/annealing/",
     "repro/legalize/",
-    "repro/service/",
 )
 
 

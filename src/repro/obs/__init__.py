@@ -40,14 +40,12 @@ from .export import format_profile, read_jsonl, trace_records, \
     write_jsonl
 from .health import HealthSample
 from .live import (
-    CancelledRun,
     CollectingSubscriber,
     EventBus,
     PhaseEvent,
     ProgressEvent,
     ResourceSample,
     ResourceSampler,
-    RingSubscriber,
 )
 from .log import configure as configure_logging
 from .log import get_logger
@@ -65,7 +63,6 @@ from .trace import (
 )
 
 __all__ = [
-    "CancelledRun",
     "CollectingSubscriber",
     "DiagnoseParams",
     "Diagnosis",
@@ -81,7 +78,6 @@ __all__ = [
     "REGISTRY",
     "ResourceSample",
     "ResourceSampler",
-    "RingSubscriber",
     "RunRegistry",
     "RunWriter",
     "SpanRecord",

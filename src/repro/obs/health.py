@@ -28,9 +28,6 @@ Design rules:
   seeded runs publish identical health streams, so the merged stream
   is bit-identical across job counts (same contract as
   :class:`~repro.obs.live.ProgressEvent`).
-* **No cancellation poll.**  The paired ``progress`` call at the same
-  site already polls the bus's cancellation token; polling twice per
-  iteration would buy nothing.
 
 Engines declare what they publish with a module-level
 ``HEALTH_FIELDS`` tuple (the value keys of their samples) — both

@@ -6,9 +6,7 @@ The recorder in :mod:`repro.obs.trace` tells the convergence story
 is the streaming half of the observability stack: engines publish
 typed events *while they run* and any number of subscribers watch the
 stream live.  The run registry (:mod:`repro.obs.registry`) persists
-event streams next to traces, and the placement service
-(:mod:`repro.service`) streams a job's events to its clients and
-cancels jobs through the same bus.
+event streams next to traces.
 
 Event types (all plain picklable dataclasses, see each class):
 
@@ -33,15 +31,7 @@ Design rules, mirroring :mod:`repro.obs.trace`:
   kwargs dict.
 * **Synchronous, ordered delivery.**  ``publish`` calls every
   subscriber inline, in subscription order; a subscriber sees events
-  in exactly the order they were published.  Slow consumers that
-  cannot keep up use a bounded :class:`RingSubscriber`, which drops
-  oldest events and counts the drops (backpressure by shedding, never
-  by blocking the engine).
-* **Cooperative cancellation.**  A bus can carry a ``cancel_check``
-  callable; :func:`progress` raises :class:`CancelledRun` right after
-  publishing once it returns true.  This is how ``repro serve``
-  cancels a job: the engine's own next progress publication is the
-  cancellation point, so no state is torn down mid-update.
+  in exactly the order they were published.
 
 Cross-process: :func:`repro.parallel.parallel_map_live` runs each
 worker under its own bus whose events are forwarded over a pipe and
@@ -56,7 +46,6 @@ from __future__ import annotations
 import os
 import threading
 import time
-from collections import deque
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -114,22 +103,6 @@ class ResourceSample:
     source: "int | None" = None
 
 
-class CancelledRun(Exception):
-    """Raised inside an engine when its run was cancelled via the bus.
-
-    Carries the phase/iteration of the progress publication that
-    observed the cancellation, so the worker can report how far the
-    run got before it was killed.
-    """
-
-    def __init__(self, phase: str, iteration: int) -> None:
-        super().__init__(
-            f"run cancelled at {phase}[{iteration}]"
-        )
-        self.phase = phase
-        self.iteration = iteration
-
-
 class EventBus:
     """In-process pub/sub hub for live telemetry events.
 
@@ -137,17 +110,11 @@ class EventBus:
     synchronously in subscription order; exceptions propagate to the
     publisher (a broken consumer should fail the run loudly, not
     silently drop telemetry).  ``source`` stamps every
-    :func:`progress`/:func:`phase` publication made through this bus;
-    ``cancel_check`` is polled by :func:`progress` after publishing.
+    :func:`progress`/:func:`phase` publication made through this bus.
     """
 
-    def __init__(
-        self,
-        source: "int | None" = None,
-        cancel_check: "Callable[[], bool] | None" = None,
-    ) -> None:
+    def __init__(self, source: "int | None" = None) -> None:
         self.source = source
-        self.cancel_check = cancel_check
         self._lock = sanitize.make_lock("obs.live.EventBus")
         self._subscribers: "tuple[Callable[[Event], None], ...]" = ()
         self.published = 0
@@ -175,36 +142,6 @@ class EventBus:
         self.published += 1
         for fn in self._subscribers:
             fn(event)
-
-    def cancelled(self) -> bool:
-        """True when this bus's run has been cancelled."""
-        check = self.cancel_check
-        return check is not None and check()
-
-
-class RingSubscriber:
-    """Bounded event sink: keeps the newest ``capacity`` events.
-
-    The backpressure policy for consumers that cannot keep up with an
-    engine loop: oldest events are shed and counted instead of ever
-    blocking the publisher.
-    """
-
-    def __init__(self, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.events: "deque[Event]" = deque(maxlen=self.capacity)
-        self.seen = 0
-
-    def __call__(self, event: Event) -> None:
-        self.events.append(event)
-        self.seen += 1
-
-    @property
-    def dropped(self) -> int:
-        """How many events were shed at capacity."""
-        return max(0, self.seen - len(self.events))
 
 
 class CollectingSubscriber:
@@ -253,17 +190,12 @@ def progress(phase: str, iteration: int, **values: float) -> None:
     """Publish one :class:`ProgressEvent` on the active bus.
 
     No-op (and allocation-free: no event object is constructed) when
-    no bus is active.  After publishing, polls the bus's cancellation
-    token and raises :class:`CancelledRun` when set — engine main
-    loops therefore need no explicit cancellation plumbing beyond
-    publishing their progress.
+    no bus is active.
     """
     bus = getattr(_ACTIVE, "bus", None)
     if bus is None:
         return
     bus.publish(ProgressEvent(phase, int(iteration), values, bus.source))
-    if bus.cancelled():
-        raise CancelledRun(phase, int(iteration))
 
 
 def phase(name: str, status: str) -> None:

@@ -34,11 +34,8 @@ events are forwarded over a pipe and republished on the parent's bus
 as they arrive, stamped with the worker's task index (``source``).
 Per-task event order is preserved end to end, so the canonical merged
 stream (stable sort by source) is bit-identical for any job count.
-The handle passed to ``handle_ready`` cancels individual tasks
-cooperatively: the worker's next progress publication raises
-:class:`repro.obs.live.CancelledRun`, and the task resolves to a
-:class:`CancelledTask` marker instead of a result — the mechanism the
-placement service (:mod:`repro.service`) cancels jobs with.
+When a worker process fails, the map fails fast: the surviving
+workers are terminated and a ``RuntimeError`` names the failed task.
 """
 
 from __future__ import annotations
@@ -46,10 +43,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import queue as queue_mod
-import threading
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence, TypeVar
 
 from . import sanitize
@@ -116,67 +111,22 @@ def parallel_map(
 # streaming fan-out: the worker -> parent live-event bridge
 
 
-@dataclass
-class CancelledTask:
-    """Marker result for a task killed through its cancel token.
-
-    ``phase``/``iteration`` name the progress publication that observed
-    the cancellation — how far the run got before it was stopped.
-    """
-
-    index: int
-    phase: str
-    iteration: int
-
-
-class LiveHandle:
-    """Cancellation handle for one :func:`parallel_map_live` fan-out.
-
-    ``cancel(i)`` sets task ``i``'s token; the worker's next progress
-    publication raises :class:`repro.obs.live.CancelledRun` and the
-    task resolves to :class:`CancelledTask`.  Cancellation is
-    cooperative and idempotent; cancelling a finished task is a no-op.
-    """
-
-    def __init__(self, tokens: "Sequence[Any]") -> None:
-        self._tokens = list(tokens)
-
-    def __len__(self) -> int:
-        return len(self._tokens)
-
-    def cancel(self, index: int) -> None:
-        """Request cooperative cancellation of task ``index``."""
-        self._tokens[index].set()
-
-    def cancelled(self, index: int) -> bool:
-        """True when task ``index`` has been asked to stop."""
-        return bool(self._tokens[index].is_set())
-
-
 def _execute_task(
     fn: "Callable[[_T], _R]",
-    index: int,
     item: "_T",
     task_bus: "live.EventBus",
-) -> "tuple[str, Any]":
+) -> "_R":
     """Run one task under its own live bus; shared by both paths.
 
     Inline and worker-process execution publish byte-identical event
     sequences because they run this exact function: a ``task``
-    start marker, the engine's own events, and an ``end`` marker on
-    success (a cancelled task ends with its last progress event
-    instead).  Returns ``("done", result)`` or ``("cancelled",
-    CancelledTask)``.
+    start marker, the engine's own events, and an ``end`` marker.
     """
     with live.session(task_bus):
         live.phase("task", "start")
-        try:
-            result: Any = fn(item)
-        except live.CancelledRun as exc:
-            return ("cancelled",
-                    CancelledTask(index, exc.phase, exc.iteration))
+        result = fn(item)
         live.phase("task", "end")
-        return ("done", result)
+        return result
 
 
 def _live_worker(
@@ -184,7 +134,6 @@ def _live_worker(
     index: int,
     item: Any,
     channel: Any,
-    token: Any,
 ) -> None:
     """Child-process body: forward events, then the task's outcome.
 
@@ -192,17 +141,15 @@ def _live_worker(
     inheritance (never pickled); events and results return through
     ``channel`` and are pickled there.  Message order per task is
     guaranteed by the queue's FIFO discipline: every event precedes
-    the final ``done``/``cancelled``/``error`` message.
+    the final ``done``/``error`` message.
     """
     try:
-        task_bus = live.EventBus(
-            source=index, cancel_check=token.is_set
-        )
+        task_bus = live.EventBus(source=index)
         task_bus.subscribe(
             lambda event: channel.put(("event", index, event))
         )
-        kind, payload = _execute_task(fn, index, item, task_bus)
-        channel.put((kind, index, payload))
+        result = _execute_task(fn, item, task_bus)
+        channel.put(("done", index, result))
     except BaseException:
         channel.put(("error", index, traceback.format_exc()))
 
@@ -212,27 +159,18 @@ def parallel_map_live(
     items: "Sequence[_T]",
     jobs: "int | None" = 1,
     bus: "live.EventBus | None" = None,
-    handle_ready: "Callable[[LiveHandle], None] | None" = None,
-    always_fork: bool = False,
-) -> "list[Any]":
-    """:func:`parallel_map` with live event streaming and cancellation.
+) -> "list[_R]":
+    """:func:`parallel_map` with live event streaming.
 
     Each task runs under its own :class:`repro.obs.live.EventBus`;
     events are republished on ``bus`` (the parent's) as they arrive,
     stamped with the task index as ``source``.  Results come back in
-    input order; a cancelled task's slot holds a
-    :class:`CancelledTask` marker instead of ``fn``'s return value.
+    input order.  Both the inline and the worker-process path run
+    :func:`_execute_task`, so their event streams are bit-identical.
 
-    ``handle_ready`` (if given) receives the :class:`LiveHandle`
-    before any task starts — subscribe a controller to ``bus`` first,
-    then cancel tasks from its event callbacks.
-
-    ``always_fork`` routes even a single task through a worker
-    process instead of the inline path.  The placement service uses
-    this: a job must not run CPU-bound engine code on a server
-    thread, and its cancel token must be able to interrupt an
-    in-flight run from another process.  Event streams stay
-    bit-identical either way (both paths run :func:`_execute_task`).
+    A worker error fails fast: the running workers are terminated
+    and joined, and a ``RuntimeError`` carrying the failed task's
+    index and traceback is raised.
 
     Ordering contract: per-task event order is preserved in both the
     inline and the worker-process path, so sorting the merged stream
@@ -245,35 +183,23 @@ def parallel_map_live(
         bus = live.EventBus()
     effective = normalize_jobs(jobs)
     n = len(items)
-    if not always_fork and (effective <= 1 or n <= 1):
-        tokens = [threading.Event() for _ in range(n)]
-        handle = LiveHandle(tokens)
-        if handle_ready is not None:
-            handle_ready(handle)
-        results: "list[Any]" = []
+    if effective <= 1 or n <= 1:
+        results: "list[_R]" = []
         for index, item in enumerate(items):
-            task_bus = live.EventBus(
-                source=index, cancel_check=tokens[index].is_set
-            )
+            task_bus = live.EventBus(source=index)
             task_bus.subscribe(bus.publish)
-            _, payload = _execute_task(fn, index, item, task_bus)
-            results.append(payload)
+            results.append(_execute_task(fn, item, task_bus))
         return results
 
     workers = min(effective, n)
     context = multiprocessing.get_context("fork")
     channel: Any = context.Queue()
-    tokens = [context.Event() for _ in range(n)]
-    handle = LiveHandle(tokens)
-    if handle_ready is not None:
-        handle_ready(handle)
     logger.info(
         "live parallel map: %d tasks on %d workers", n, workers
     )
 
     running: "dict[int, Any]" = {}
     out: "list[Any]" = [None] * n
-    finished = [False] * n
     next_task = 0
     failure: "str | None" = None
     #: consecutive empty polls seen after every running worker died —
@@ -287,8 +213,7 @@ def parallel_map_live(
                 sanitize.check_fork_safety()
                 proc = context.Process(
                     target=_live_worker,
-                    args=(fn, next_task, items[next_task],
-                          channel, tokens[next_task]),
+                    args=(fn, next_task, items[next_task], channel),
                     daemon=True,
                 )
                 proc.start()
@@ -312,20 +237,14 @@ def parallel_map_live(
         kind, index, payload = message
         if kind == "event":
             bus.publish(payload)
-        elif kind in ("done", "cancelled"):
+        elif kind == "done":
             out[index] = payload
-            finished[index] = True
-            proc = running.pop(index)
-            proc.join()
+            running.pop(index).join()
         else:  # "error": fail fast, stop the rest of the fleet
             failure = f"task {index} failed:\n{payload}"
     if failure is not None:
-        for token in tokens:
-            token.set()
         for proc in running.values():
-            proc.join(timeout=2.0)
-            if proc.is_alive():
-                proc.terminate()
-                proc.join()
+            proc.terminate()
+            proc.join()
         raise RuntimeError(failure)
     return out

@@ -5,8 +5,8 @@ in the call graph; this module catches what they cannot — the actual
 interleavings of a live run.  It is **off by default and free when
 off**: every entry point checks ``REPRO_SANITIZE=1`` once and falls
 back to plain :mod:`threading` primitives, so production runs carry no
-instrumentation cost.  CI runs the obs/parallel/lint/service test
-subset with the sanitizer active.
+instrumentation cost.  CI runs the obs/parallel/lint test subset
+with the sanitizer active.
 
 Two checkers:
 
@@ -214,7 +214,7 @@ def _hazardous_threads() -> list[threading.Thread]:
         if thread is main:
             # The main thread cannot be stopped before forking (it *is*
             # the process), so "stop it first" is unsatisfiable advice;
-            # forks from server worker threads necessarily coexist with
+            # a fork from any other thread necessarily coexists with
             # it.  Its lock exposure is covered by the order-graph and
             # suspend_samplers checks instead.
             continue

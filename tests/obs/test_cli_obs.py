@@ -8,6 +8,8 @@ import re
 import pytest
 
 from repro.cli import main, resolve_circuit
+from repro.obs import live
+from repro.obs.report import load_events
 
 
 def test_circuit_alias_normalisation():
@@ -85,11 +87,26 @@ def test_place_seeds_fan_out(tmp_path, monkeypatch, capsys):
     assert set(config) == {"circuit", "method", "seed", "seeds", "jobs",
                            "sa_iterations"}
     assert config["seeds"] == [1, 2]
+    # both seeds streamed through the worker bridge into the registry
+    events = load_events(run_dir / "events.jsonl")
+    for source in (0, 1):
+        mine = [e for e in events if getattr(e, "source", None) == source]
+        markers = [(e.phase, e.status) for e in mine
+                   if isinstance(e, live.PhaseEvent)
+                   and e.phase == "task"]
+        assert markers == [("task", "start"), ("task", "end")]
+        assert any(isinstance(e, live.ProgressEvent) for e in mine)
 
 
 def test_place_rejects_removed_racing_flag():
     with pytest.raises(SystemExit) as exc:
         main(["place", "comp1", "--seeds", "1,2", "--racing"])
+    assert exc.value.code == 2
+
+
+def test_serve_subcommand_removed():
+    with pytest.raises(SystemExit) as exc:
+        main(["serve"])
     assert exc.value.code == 2
 
 

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import time
+
 import pytest
 
 from repro.obs import live
-from repro.parallel import CancelledTask, parallel_map_live
+from repro.parallel import parallel_map_live
 
 
 def _emit_worker(item: int) -> int:
@@ -21,24 +25,20 @@ def _boom_worker(item: int) -> int:
     return item
 
 
-def _slow_emit_worker(item: int) -> int:
-    """Like :func:`_emit_worker` but slow enough to cancel mid-run."""
-    import time
+def _fail_or_linger_worker(item: int) -> int:
+    """Task 0 raises at once; task 1 sleeps for 60 s, publishing nothing."""
+    if item == 0:
+        raise ValueError("boom on task 0")
+    for _ in range(600):
+        time.sleep(0.1)
+    return item
 
-    for i in range(1, 50):
-        live.progress("w.loop", i, value=float(item * 10 + i))
-        time.sleep(0.05)
-    return item * 2
 
-
-def _run(items, jobs, handle_ready=None):
+def _run(items, jobs):
     sub = live.CollectingSubscriber()
     bus = live.EventBus()
     bus.subscribe(sub)
-    out = parallel_map_live(
-        _emit_worker, items, jobs=jobs, bus=bus,
-        handle_ready=handle_ready,
-    )
+    out = parallel_map_live(_emit_worker, items, jobs=jobs, bus=bus)
     return out, sub
 
 
@@ -74,66 +74,19 @@ class TestBridgeBitIdentity:
             assert progress[0].values == {"value": float(item * 100 + 1)}
 
 
-class TestCancellation:
-    def test_pre_cancelled_task_resolves_to_marker(self):
-        for jobs in (1, 2):
-            out, sub = _run(
-                [3, 4], jobs,
-                handle_ready=lambda handle: handle.cancel(1),
-            )
-            assert out[0] == 6
-            marker = out[1]
-            assert isinstance(marker, CancelledTask)
-            assert marker.index == 1
-            assert marker.phase == "w.loop"
-            # cancelled at its very first progress publication
-            assert marker.iteration == 1
-            # a cancelled task ends with its last progress event, not
-            # a task-end marker
-            task1 = [e for e in sub.events
-                     if getattr(e, "source", None) == 1]
-            assert not any(
-                isinstance(e, live.PhaseEvent) and e.status == "end"
-                for e in task1
-            )
-
-    def test_handle_reports_cancelled_state(self):
-        seen = {}
-
-        def ready(handle):
-            seen["handle"] = handle
-            handle.cancel(0)
-
-        out, _ = _run([2, 3], 1, handle_ready=ready)
-        handle = seen["handle"]
-        assert handle.cancelled(0) and not handle.cancelled(1)
-        assert isinstance(out[0], CancelledTask)
-        assert out[1] == 6
-
-    def test_mid_run_cancellation_forked(self):
-        captured = {}
-
-        def on_ready(handle):
-            captured["handle"] = handle
-
-        def watcher(event):
-            if (isinstance(event, live.ProgressEvent)
-                    and event.source == 0 and event.iteration >= 2):
-                captured["handle"].cancel(0)
-
-        bus = live.EventBus()
-        bus.subscribe(watcher)
-        out = parallel_map_live(
-            _slow_emit_worker, [7], jobs=1, bus=bus,
-            handle_ready=on_ready, always_fork=True,
-        )
-        assert isinstance(out[0], CancelledTask)
-        assert out[0].iteration >= 2
-
-
 class TestFailure:
     def test_worker_exception_propagates(self):
         for jobs in (1, 2):
             with pytest.raises((ValueError, RuntimeError),
                                match="boom on item 2"):
                 parallel_map_live(_boom_worker, [1, 2, 3], jobs=jobs)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                        reason="jobs=2 runs inline on one core")
+    def test_fail_fast_terminates_the_surviving_worker(self):
+        start = time.perf_counter()
+        with pytest.raises(RuntimeError, match="task 0 failed"):
+            parallel_map_live(_fail_or_linger_worker, [0, 1], jobs=2)
+        # task 1 would run for 60 s; it is terminated, not awaited
+        assert time.perf_counter() - start < 20.0
+        assert multiprocessing.active_children() == []
