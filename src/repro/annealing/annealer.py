@@ -31,7 +31,7 @@ import numpy as np
 from ..analytic import NetArrays
 from ..netlist import Axis, Circuit
 from ..netlist.order import topological_order
-from ..obs import diagnose, health, live, memory, metrics, trace
+from ..obs import diagnose, emit, live, memory, metrics, trace
 from ..obs.log import get_logger
 from ..placement import Placement, PlacerResult
 
@@ -44,12 +44,6 @@ from .islands import (
     reorder_island,
 )
 from .seqpair import SequencePair
-
-#: solver internals published on the health channel each stage
-HEALTH_FIELDS = (
-    "accept_rate", "temperature", "dirty_nets", "evaluated",
-    "full_evals",
-)
 
 #: optional extra cost hook: maps a candidate Placement to a scalar
 CostHook = Callable[[Placement], float]
@@ -558,8 +552,6 @@ class SimulatedAnnealingPlacer:
                     accepted=stage_accepted,
                     evaluated=stage_evaluated,
                 )
-                tracer.record("sa.stage", stage, **values)
-                live.progress("sa.stage", stage, **values)
                 hvalues = dict(
                     accept_rate=(
                         stage_accepted / max(stage_evaluated, 1)
@@ -572,11 +564,7 @@ class SimulatedAnnealingPlacer:
                     full_evals=float(evaluator.full_evals),
                 )
                 last_dirty = evaluator.dirty_nets
-                tracer.record(
-                    "sa.stage" + health.HEALTH_SUFFIX,
-                    stage, **hvalues,
-                )
-                health.sample("sa.stage", stage, **hvalues)
+                emit("sa.stage", stage, progress=values, health=hvalues)
             if stage_moves == p.moves_per_temp:
                 temperature *= decay
             stage += 1

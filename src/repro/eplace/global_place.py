@@ -25,7 +25,7 @@ from ..analytic import (
     wa_wirelength,
 )
 from ..netlist import Circuit
-from ..obs import diagnose, health, live, memory, metrics, trace
+from ..obs import diagnose, emit, live, memory, metrics, trace
 from ..obs.log import get_logger
 from ..placement import Placement, PlacerResult
 from .hard_symmetry import HardSymmetryMap
@@ -37,15 +37,6 @@ logger = get_logger("eplace")
 def _grad_norm(gx: np.ndarray, gy: np.ndarray) -> float:
     """Euclidean norm of a stacked (gx, gy) gradient."""
     return float(np.hypot(np.linalg.norm(gx), np.linalg.norm(gy)))
-
-
-#: solver internals published on the health channel each iteration
-HEALTH_FIELDS = (
-    "grad_norm", "grad_wl_norm", "grad_density_norm",
-    "grad_penalty_norm", "step_length", "step_predicted",
-    "backtracks", "restarted", "density_weight", "tau", "eta",
-    "overflow",
-)
 
 
 class EPlaceGlobalPlacer:
@@ -317,12 +308,6 @@ class EPlaceGlobalPlacer:
                         hpwl=self._exact_hpwl(cx, cy),
                         **getattr(self, "_terms", {}),
                     )
-                    tracer.record(
-                        "eplace.nesterov", iterations, **values
-                    )
-                    live.progress(
-                        "eplace.nesterov", iterations, **values
-                    )
                     hvalues = dict(
                         grad_norm=info.grad_norm,
                         step_length=info.step_length,
@@ -335,13 +320,8 @@ class EPlaceGlobalPlacer:
                         overflow=self._overflow,
                         **getattr(self, "_health", {}),
                     )
-                    tracer.record(
-                        "eplace.nesterov" + health.HEALTH_SUFFIX,
-                        iterations, **hvalues,
-                    )
-                    health.sample(
-                        "eplace.nesterov", iterations, **hvalues
-                    )
+                    emit("eplace.nesterov", iterations,
+                         progress=values, health=hvalues)
                 if (
                     iterations >= p.min_iters
                     and self._overflow < p.overflow_stop

@@ -8,6 +8,7 @@ from .ilp import (
     ilp_detailed_placement,
     detailed_place,
     iterate_directions,
+    lns_rounds,
     refine_directions,
 )
 from .lp_twostage import lp_two_stage_detailed_placement
@@ -29,6 +30,7 @@ __all__ = [
     "detailed_place",
     "ilp_detailed_placement",
     "iterate_directions",
+    "lns_rounds",
     "refine_directions",
     "lp_two_stage_detailed_placement",
     "presymmetrize",

@@ -22,10 +22,11 @@ Two refinement layers sit on top of the single solve:
   the legal solution and re-solve until a fixpoint; the GP geometry is
   only a heuristic for the direction choice, and a legal placement is a
   better oracle.
-* :func:`refine_directions` — large-neighbourhood rounds that *free*
-  the direction decision of a few nearby pairs (big-M disjunctions over
-  two binaries per pair) and accept improvements.  This exploits the
-  integer programming capability the paper's formulation pays for.
+* :func:`refine_directions` — large-neighbourhood rounds
+  (:func:`lns_rounds`) that *free* the direction decision of a few
+  nearby pairs (big-M disjunctions over two binaries per pair) and
+  accept improvements.  This exploits the integer programming
+  capability the paper's formulation pays for.
 
 :func:`detailed_place` chains all three and is what the end-to-end
 ePlace-A flow uses.
@@ -34,6 +35,7 @@ ePlace-A flow uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -533,14 +535,30 @@ def iterate_directions(
 
     Stops at a fixpoint (no score improvement) or after
     ``params.iterate_rounds`` rounds; returns the best placement seen,
-    the input included (on a tie with the input, the re-solved one).
+    the input included (on a tie with the input, the re-solved one),
+    and the number of MILPs solved.
+
+    Without a displacement anchor the model depends on the placement
+    only through its separation list.  When a solution re-derives the
+    list that produced it, the next round would re-solve the same
+    model, get the same solution back and stop on the tie; that round
+    is skipped, with the tie's result, and not counted in the returned
+    rounds (nor in ``stats["iterate_rounds"]``).
     """
+    anchored = params.displacement_weight > 0.0
     best = placement
     best_score = np.inf
     rounds = 0
     current = placement
-    for rounds in range(1, params.iterate_rounds + 1):
+    solved_from = None
+    for _ in range(params.iterate_rounds):
+        if not anchored:
+            separations = separation_constraints(presymmetrize(current))
+            if separations == solved_from:
+                break
+            solved_from = separations
         current, _ = _solve_model(current, params)
+        rounds += 1
         score = _score(current, params)
         if score >= best_score - 1e-9:
             if score < best_score:
@@ -581,21 +599,25 @@ def _nearest_free_pairs(
     return frozenset(near[p] for p in picks)
 
 
-def refine_directions(
+def lns_rounds(
     placement: Placement,
     params: DetailedParams,
+    accept: Callable[[Placement], "Placement | None"],
 ) -> tuple[Placement, int]:
-    """Large-neighbourhood direction refinement.
+    """Large-neighbourhood rounds over pair directions.
 
-    Each round frees a random subset of the nearest pairs (big-M
-    disjunctions) and keeps the solution when :func:`_score`
-    improves.  Returns the best placement and the number of improving
-    rounds.
+    Each of ``params.refine_rounds`` rounds frees a random
+    ``free_pairs`` of the ``candidate_pool`` nearest unconstrained
+    pairs of the incumbent (big-M disjunctions, draws seeded by
+    ``params.seed``) and re-solves within ``refine_time_limit_s``.
+    ``accept(candidate)`` returns the placement to keep as the new
+    incumbent, or ``None`` to reject it.  A round whose MILP is
+    unsolved keeps the incumbent.  Returns the final incumbent and the
+    number of accepted rounds.
     """
     rng = np.random.default_rng(params.seed)
     best = placement
-    best_score = _score(placement, params)
-    improved = 0
+    accepted = 0
     for _ in range(params.refine_rounds):
         freed = _nearest_free_pairs(
             presymmetrize(best), params.candidate_pool,
@@ -614,11 +636,32 @@ def refine_directions(
                 "within %.1fs", params.refine_time_limit_s,
             )
             continue
+        kept = accept(candidate)
+        if kept is not None:
+            best = kept
+            accepted += 1
+    return best, accepted
+
+
+def refine_directions(
+    placement: Placement,
+    params: DetailedParams,
+) -> tuple[Placement, int]:
+    """:func:`lns_rounds` accepting strict :func:`_score` improvements.
+
+    Returns the best placement and the number of improving rounds.
+    """
+    best_score = _score(placement, params)
+
+    def accept(candidate: Placement) -> "Placement | None":
+        nonlocal best_score
         score = _score(candidate, params)
         if score < best_score - 1e-9:
-            best, best_score = candidate, score
-            improved += 1
-    return best, improved
+            best_score = score
+            return candidate
+        return None
+
+    return lns_rounds(placement, params, accept)
 
 
 def detailed_place(

@@ -69,8 +69,8 @@ class CallRef:
     """One call site inside a function body.
 
     ``target`` is the import-resolved absolute dotted name when the
-    receiver chain is a plain imported name (``live.progress`` →
-    ``repro.obs.live.progress``); ``None`` for dynamic receivers.
+    receiver chain is a plain imported name (``live.phase`` →
+    ``repro.obs.live.phase``); ``None`` for dynamic receivers.
     ``attr`` is always the final (bare) callee name.
     """
 

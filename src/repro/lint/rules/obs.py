@@ -135,83 +135,6 @@ class SpanContractRule(Rule):
 
 
 @register
-class LiveProgressRule(Rule):
-    """RPR203: convergence recording must also stream live events."""
-
-    id = "RPR203"
-    name = "record-publishes-progress"
-    summary = (
-        "engine loops calling trace.record(...) must publish the same "
-        "iteration via repro.obs.live.progress(...) so the live bus "
-        "sees exactly what the post-mortem trace sees"
-    )
-    scopes = _ENGINE_SCOPES
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            called = _called_names(node)
-            if "record" in called and "progress" not in called:
-                yield self.finding(
-                    module, node,
-                    f"{node.name}() records convergence iterations "
-                    "but never publishes them on the live bus; pair "
-                    "each tracer.record(...) with live.progress(...)",
-                )
-
-
-def _declares_health_fields(module: ModuleInfo) -> bool:
-    """Module-level ``HEALTH_FIELDS = (...)`` assignment present?"""
-    for stmt in module.tree.body:
-        targets: list[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = list(stmt.targets)
-        elif isinstance(stmt, ast.AnnAssign):
-            targets = [stmt.target]
-        for target in targets:
-            if isinstance(target, ast.Name) and (
-                target.id == "HEALTH_FIELDS"
-            ):
-                return True
-    return False
-
-
-@register
-class HealthChannelRule(Rule):
-    """RPR204: instrumented engines must publish health with progress."""
-
-    id = "RPR204"
-    name = "progress-publishes-health"
-    summary = (
-        "engine modules declaring HEALTH_FIELDS must pair every "
-        "live.progress(...) site with a health.sample(...) so the "
-        "health channel never lags the progress channel"
-    )
-    scopes = _ENGINE_SCOPES
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        if not _declares_health_fields(module):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(
-                node, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                continue
-            called = _called_names(node)
-            if "progress" in called and "sample" not in called:
-                yield self.finding(
-                    module, node,
-                    f"{node.name}() publishes progress but no health "
-                    "samples although this module declares "
-                    "HEALTH_FIELDS; pair live.progress(...) with "
-                    "health.sample(...)",
-                )
-
-
-@register
 class NoPrintRule(Rule):
     """RPR202: no ``print`` in library code."""
 

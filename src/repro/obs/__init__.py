@@ -12,13 +12,17 @@ Usage::
 
 Inside engines::
 
-    from ..obs import trace
+    from ..obs import emit, trace
 
     with trace.span("eplace.gp"):
         ...
         with trace.timer("eplace.gp.density"):
             ...
-        trace.record("eplace.nesterov", i, hpwl=..., overflow=...)
+        emit("eplace.nesterov", i, progress=values, health=hvalues)
+
+:func:`emit` is the one call per record site: it records the
+iteration into the tracer and publishes it on the live bus (see
+:mod:`repro.obs.health`).
 
 See :mod:`repro.obs.trace` for the zero-overhead-when-disabled design,
 :mod:`repro.obs.export` for the JSONL schema and
@@ -38,7 +42,7 @@ from .diagnose import (
 from .env import fingerprint, utc_timestamp
 from .export import format_profile, read_jsonl, trace_records, \
     write_jsonl
-from .health import HealthSample
+from .health import HealthSample, emit
 from .live import (
     CollectingSubscriber,
     EventBus,
@@ -89,6 +93,7 @@ __all__ = [
     "diagnose",
     "diagnose_events",
     "diagnose_trace",
+    "emit",
     "env",
     "export",
     "fingerprint",

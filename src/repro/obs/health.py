@@ -1,44 +1,43 @@
-"""Numerical-health channel: typed solver internals on the live bus.
+"""Numerical-health channel and the one record-site call, :func:`emit`.
 
-The convergence stream (:func:`repro.obs.live.progress`) answers *how
-good* a run currently is; this channel answers *why* — the solver
+Progress values (:class:`~repro.obs.live.ProgressEvent`) answer *how
+good* a run currently is; health values answer *why* — the solver
 internals the ePlace lineage treats as the primary diagnostic surface:
 gradient norms per objective term, predicted Lipschitz steps and
 backtrack counts, CG residuals and restart counts, SA acceptance rates
-and dirty-set sizes.  Engines publish one :class:`HealthSample` per
-instrumented iteration next to each ``progress`` publication, behind
-the same ``tracer.enabled or live.active()`` gate (lint rule RPR204
-holds engine scopes to this pairing).
+and dirty-set sizes.
 
-Persistence mirrors the dual-channel contract of
-:mod:`repro.obs.live`: the publishing site also records the same
-values into the post-mortem trace under ``<phase>.health`` (see
-:data:`HEALTH_SUFFIX`), so run directories carry health series in both
-``events.jsonl`` (typed, per-source) and ``convergence.json``
-(plot-ready) — the streaming detectors in :mod:`repro.obs.diagnose`
-consume either.
+Every instrumented engine iteration makes one call::
+
+    if tracer.enabled or live.active():
+        emit(phase, i, progress=values, health=hvalues)
+
+:func:`emit` records ``<phase>`` and ``<phase>.health`` (see
+:data:`HEALTH_SUFFIX`) into the thread's tracer, then publishes the
+:class:`~repro.obs.live.ProgressEvent` and the :class:`HealthSample`
+on the thread's bus, in that order.  Run directories therefore carry
+health series in both ``events.jsonl`` (typed, per-source) and
+``convergence.json`` (plot-ready), and the streaming detectors in
+:mod:`repro.obs.diagnose` consume either.  The engine-side guard skips
+building the value dicts when both sinks are off.
 
 Design rules:
 
-* **Zero cost when off.**  :func:`sample` with no active bus is one
-  thread-local lookup and constructs no event object — the same
-  overhead-guard budget as ``live.progress`` (pinned by
+* **Zero cost when off.**  A sink that is off gets nothing
+  constructed: no iteration record without an enabled tracer, no
+  event object without an active bus (pinned by
   ``tests/obs/test_live.py``).
 * **Deterministic content.**  Health samples carry no timestamps;
   seeded runs publish identical health streams, so the merged stream
   is bit-identical across job counts (same contract as
   :class:`~repro.obs.live.ProgressEvent`).
-
-Engines declare what they publish with a module-level
-``HEALTH_FIELDS`` tuple (the value keys of their samples) — both
-documentation and the trigger for lint rule RPR204.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import live
+from . import live, trace
 
 #: trace-phase suffix under which health values are recorded into the
 #: post-mortem convergence trace (``eplace.nesterov.health`` etc.)
@@ -66,16 +65,26 @@ class HealthSample:
 live.register_event_type("health", HealthSample)
 
 
-def sample(phase: str, iteration: int, **values: float) -> None:
-    """Publish one :class:`HealthSample` on the active bus.
+def emit(phase: str, iteration: int, progress: dict, health: dict) -> None:
+    """Record and publish one engine iteration.
 
-    No-op (and allocation-free: no event object is constructed) when
-    no bus is active on this thread.
+    Records ``progress`` under ``phase`` and ``health`` under
+    ``phase + HEALTH_SUFFIX`` into the thread's tracer, then publishes
+    a :class:`~repro.obs.live.ProgressEvent` and a
+    :class:`HealthSample` on the thread's bus.  Either sink that is off
+    is skipped before anything is constructed for it.
     """
+    iteration = int(iteration)
+    tracer = trace.current()
+    if tracer.enabled:
+        tracer.record(phase, iteration, **progress)
+        tracer.record(phase + HEALTH_SUFFIX, iteration, **health)
     bus = live.current()
-    if bus is None:
-        return
-    bus.publish(HealthSample(phase, int(iteration), values, bus.source))
+    if bus is not None:
+        bus.publish(
+            live.ProgressEvent(phase, iteration, progress, bus.source)
+        )
+        bus.publish(HealthSample(phase, iteration, health, bus.source))
 
 
 def base_phase(phase: str) -> str:

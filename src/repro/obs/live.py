@@ -22,13 +22,15 @@ Event types (all plain picklable dataclasses, see each class):
 
 Design rules, mirroring :mod:`repro.obs.trace`:
 
-* **Off by default, near-zero cost when off.**  With no bus active on
-  the thread, :func:`progress` returns after a single thread-local
-  lookup and constructs *no event object* — the overhead-guard test
-  pins zero ``ProgressEvent`` constructions on the disabled path.
-  Engines additionally guard value computation behind
+* **Off by default, near-zero cost when off.**  Engines publish
+  progress through :func:`repro.obs.emit`, the one call per record
+  site, which records into the tracer and publishes here.  With no bus
+  active on the thread it returns after a single thread-local lookup
+  and constructs *no event object* — the overhead-guard test pins
+  zero ``ProgressEvent`` constructions on the disabled path.  Engines
+  additionally guard value computation behind
   ``tracer.enabled or live.active()`` so disabled runs skip even the
-  kwargs dict.
+  value dicts.
 * **Synchronous, ordered delivery.**  ``publish`` calls every
   subscriber inline, in subscription order; a subscriber sees events
   in exactly the order they were published.
@@ -109,8 +111,8 @@ class EventBus:
     Subscribers are plain callables ``event -> None`` invoked
     synchronously in subscription order; exceptions propagate to the
     publisher (a broken consumer should fail the run loudly, not
-    silently drop telemetry).  ``source`` stamps every
-    :func:`progress`/:func:`phase` publication made through this bus.
+    silently drop telemetry).  ``source`` stamps every event published
+    through this bus by :func:`repro.obs.emit` and :func:`phase`.
     """
 
     def __init__(self, source: "int | None" = None) -> None:
@@ -184,18 +186,6 @@ def current() -> "EventBus | None":
 def active() -> bool:
     """True when a live bus is active on this thread."""
     return getattr(_ACTIVE, "bus", None) is not None
-
-
-def progress(phase: str, iteration: int, **values: float) -> None:
-    """Publish one :class:`ProgressEvent` on the active bus.
-
-    No-op (and allocation-free: no event object is constructed) when
-    no bus is active.
-    """
-    bus = getattr(_ACTIVE, "bus", None)
-    if bus is None:
-        return
-    bus.publish(ProgressEvent(phase, int(iteration), values, bus.source))
 
 
 def phase(name: str, status: str) -> None:

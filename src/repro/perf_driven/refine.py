@@ -22,8 +22,7 @@ from dataclasses import dataclass, replace as dc_replace
 import numpy as np
 
 from ..gnn import PerformanceModel
-from ..legalize import DetailedParams, DetailedPlacementError, \
-    detailed_place
+from ..legalize import DetailedParams, detailed_place, lns_rounds
 from ..placement import Placement
 
 
@@ -154,9 +153,6 @@ def phi_refine(
     3. greedy flip passes — per-device mirroring, which moves pins
        without moving rectangles.
     """
-    from ..legalize.ilp import _nearest_free_pairs, _solve_model
-    from ..legalize.presym import presymmetrize
-
     params = params or RefineParams()
     if dp_params is None:
         dp_params = DetailedParams(
@@ -171,7 +167,6 @@ def phi_refine(
             "final_phi": model.phi_placement(legal),
             "skipped_low_trust": True,
         }
-    rng = np.random.default_rng(params.seed)
     best = legal
     best_score = _score(legal, model, params.quality_weight)
     accepted = 0
@@ -194,27 +189,22 @@ def phi_refine(
 
     # stage 2: ILP large-neighbourhood topology moves (lighter anchor so
     # the freed pairs can genuinely rearrange)
-    lns_params = dc_replace(dp_params, displacement_weight=0.3)
-    for _ in range(params.lns_rounds):
-        freed = _nearest_free_pairs(
-            presymmetrize(best), params.candidate_pool,
-            params.free_pairs, rng,
-        )
-        if not freed:
-            break
-        try:
-            candidate, _ = _solve_model(
-                best, lns_params, free_keys=freed,
-                time_limit=lns_params.refine_time_limit_s,
-            )
-        except DetailedPlacementError:
-            continue
+    def accept(candidate: Placement) -> "Placement | None":
+        nonlocal best_score
         candidate = _greedy_flips(candidate, model, 1,
                                   params.quality_weight)
         score = _score(candidate, model, params.quality_weight)
         if score < best_score - params.accept_margin:
-            best, best_score = candidate, score
-            accepted += 1
+            best_score = score
+            return candidate
+        return None
+
+    best, lns_accepted = lns_rounds(best, dc_replace(
+        dp_params, displacement_weight=0.3,
+        refine_rounds=params.lns_rounds, free_pairs=params.free_pairs,
+        candidate_pool=params.candidate_pool, seed=params.seed,
+    ), accept)
+    accepted += lns_accepted
 
     # stage 3: final flip polish
     best = _greedy_flips(best, model, params.flip_passes,

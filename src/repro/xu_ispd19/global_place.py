@@ -24,17 +24,11 @@ from ..analytic import (
     lse_wirelength,
 )
 from ..netlist import Circuit
-from ..obs import diagnose, health, live, memory, metrics, trace
+from ..obs import diagnose, emit, live, memory, metrics, trace
 from ..obs.log import get_logger
 from ..placement import Placement, PlacerResult
 
 logger = get_logger("xu_ispd19")
-
-#: solver internals published on the health channel each CG step
-HEALTH_FIELDS = (
-    "residual", "step_length", "line_search_halvings", "restarts",
-    "density_weight",
-)
 
 
 @dataclass
@@ -193,8 +187,6 @@ class XuGlobalPlacer:
                         grad_norm=grad_norm, step_length=step,
                         density_weight=_lam,
                     )
-                    tracer.record("xu.cg", _base + it, **values)
-                    live.progress("xu.cg", _base + it, **values)
                     hvalues = dict(
                         residual=grad_norm, step_length=step,
                         line_search_halvings=float(halvings),
@@ -202,11 +194,8 @@ class XuGlobalPlacer:
                         density_weight=_lam,
                         **getattr(self, "_health", {}),
                     )
-                    tracer.record(
-                        "xu.cg" + health.HEALTH_SUFFIX,
-                        _base + it, **hvalues,
-                    )
-                    health.sample("xu.cg", _base + it, **hvalues)
+                    emit("xu.cg", _base + it,
+                         progress=values, health=hvalues)
             with tracer.span("xu.gp.stage", stage=stage):
                 result = conjugate_gradient(
                     fun, v, iterations=p.cg_iterations, tol=1e-9,
@@ -222,19 +211,13 @@ class XuGlobalPlacer:
                     density_weight=lam,
                     hpwl=self._exact_hpwl(v[:n], v[n:]),
                 )
-                tracer.record("xu.stage", stage, **values)
-                live.progress("xu.stage", stage, **values)
                 hstage = dict(
                     residual=result.grad_norm,
                     cg_iterations=float(result.iterations),
                     converged=float(result.converged),
                     density_weight=lam,
                 )
-                tracer.record(
-                    "xu.stage" + health.HEALTH_SUFFIX,
-                    stage, **hstage,
-                )
-                health.sample("xu.stage", stage, **hstage)
+                emit("xu.stage", stage, progress=values, health=hstage)
             lam *= p.lambda_mult
 
         placement = Placement(self.circuit, v[:n], v[n:])

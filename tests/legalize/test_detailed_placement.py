@@ -90,12 +90,27 @@ class TestILP:
             assert key in result.stats
 
 
+@pytest.fixture(scope="module")
+def legal(ccota_gp):
+    """One legal CC-OTA placement for the stubbed-solver tests."""
+    return ilp_detailed_placement(
+        ccota_gp,
+        DetailedParams(iterate_rounds=1, refine_rounds=0),
+    ).placement
+
+
+def _copy(placement):
+    return Placement(placement.circuit, placement.x.copy(),
+                     placement.y.copy(), placement.flip_x,
+                     placement.flip_y)
+
+
 class TestIterateDirections:
     """``iterate_directions`` returns the best placement seen, input
     included; each test stubs the MILP with a fixed answer."""
 
     @staticmethod
-    def _run(monkeypatch, legal, answer, rounds=3):
+    def _run(monkeypatch, legal, answer, rounds=3, **params):
         from repro.legalize import ilp
 
         calls = []
@@ -106,15 +121,8 @@ class TestIterateDirections:
 
         monkeypatch.setattr(ilp, "_solve_model", solve)
         result, used = ilp.iterate_directions(
-            legal, DetailedParams(iterate_rounds=rounds))
+            legal, DetailedParams(iterate_rounds=rounds, **params))
         return result, used, calls
-
-    @pytest.fixture(scope="class")
-    def legal(self, ccota_gp):
-        return ilp_detailed_placement(
-            ccota_gp,
-            DetailedParams(iterate_rounds=1, refine_rounds=0),
-        ).placement
 
     def test_worse_solve_returns_the_input(self, monkeypatch, legal):
         # spreading every device apart keeps it legal but scores worse
@@ -126,16 +134,99 @@ class TestIterateDirections:
         assert calls == [legal, worse]
 
     def test_tie_keeps_the_resolved_placement(self, monkeypatch, legal):
-        same = Placement(legal.circuit, legal.x.copy(), legal.y.copy(),
-                         legal.flip_x, legal.flip_y)
+        same = _copy(legal)
         result, used, _ = self._run(monkeypatch, legal, same)
         assert result is same
+        # ``same`` re-derives the separations that produced it, so the
+        # repeat solve is skipped and not counted
+        assert used == 1
+
+    def test_fixpoint_input_solves_once(self, monkeypatch, legal):
+        # the MILP returns its input: round 2 would re-solve the very
+        # model round 1 solved
+        result, used, calls = self._run(monkeypatch, legal, legal)
+        assert calls == [legal]
+        assert used == 1
+        assert result is legal
+
+    def test_anchored_fixpoint_still_resolves(self, monkeypatch, legal):
+        # a displacement anchor ties the model to the placement itself,
+        # so the separation list alone cannot prove the model repeats
+        result, used, calls = self._run(monkeypatch, legal, legal,
+                                        displacement_weight=1.0)
+        assert calls == [legal, legal]
         assert used == 2
+        assert result is legal
 
     def test_no_rounds_returns_the_input(self, monkeypatch, legal):
         result, used, calls = self._run(monkeypatch, legal, None,
                                         rounds=0)
         assert result is legal and used == 0 and not calls
+
+
+class TestRefineDirections:
+    """``refine_directions`` accepts strict ``_score`` improvements;
+    each test stubs the MILP and the score."""
+
+    @staticmethod
+    def _run(monkeypatch, legal, answers, scores):
+        """``answers`` are the solves' results in order (an exception
+        is raised); ``scores`` maps each placement to its score."""
+        from repro.legalize import ilp
+
+        calls = []
+        pending = list(answers)
+
+        def solve(placement, params, free_keys, time_limit):
+            calls.append(placement)
+            assert free_keys
+            answer = pending.pop(0)
+            if isinstance(answer, Exception):
+                raise answer
+            return answer, {}
+
+        monkeypatch.setattr(ilp, "_solve_model", solve)
+        monkeypatch.setattr(ilp, "_score",
+                            lambda placement, params: scores[id(placement)])
+        best, improved = ilp.refine_directions(
+            legal, DetailedParams(refine_rounds=len(answers)))
+        return best, improved, calls
+
+    def test_strictly_better_score_is_accepted(self, monkeypatch, legal):
+        better = _copy(legal)
+        best, improved, _ = self._run(
+            monkeypatch, legal, [better],
+            {id(legal): 10.0, id(better): 9.0})
+        assert best is better and improved == 1
+
+    def test_equal_or_worse_score_is_rejected(self, monkeypatch, legal):
+        equal, worse = _copy(legal), _copy(legal)
+        best, improved, calls = self._run(
+            monkeypatch, legal, [equal, worse],
+            {id(legal): 10.0, id(equal): 10.0, id(worse): 11.0})
+        assert best is legal and improved == 0
+        assert calls == [legal, legal]
+
+    def test_unsolved_round_keeps_the_incumbent(self, monkeypatch, legal):
+        from repro.legalize import DetailedPlacementError
+
+        better = _copy(legal)
+        best, improved, calls = self._run(
+            monkeypatch, legal,
+            [DetailedPlacementError("no solution in time"), better],
+            {id(legal): 10.0, id(better): 9.0})
+        assert calls == [legal, legal]  # the loop went on
+        assert best is better and improved == 1
+
+    def test_count_is_the_number_of_accepted_rounds(
+            self, monkeypatch, legal):
+        a, b, c, d = (_copy(legal) for _ in range(4))
+        best, improved, calls = self._run(
+            monkeypatch, legal, [a, b, c, d],
+            {id(legal): 10.0, id(a): 9.0, id(b): 9.5, id(c): 8.0,
+             id(d): 8.0})
+        assert best is c and improved == 2
+        assert calls == [legal, a, a, c]
 
 
 class TestLPTwoStage:

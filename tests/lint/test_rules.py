@@ -26,7 +26,7 @@ class TestRegistry:
         assert set(REGISTRY) == {
             "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
             "RPR101", "RPR102",
-            "RPR201", "RPR202", "RPR203", "RPR204",
+            "RPR201", "RPR202",
             "RPR301",
             "RPR401", "RPR402", "RPR403", "RPR404",
         }
@@ -304,102 +304,6 @@ class TestSpanContractRPR201:
 
     def test_non_engine_scope_not_checked(self):
         assert not _lint(self.BAD, "repro/parasitics/fake.py", "RPR201")
-
-
-class TestLiveProgressRPR203:
-    BAD = """
-        from repro.obs import trace
-
-        def optimize(tracer):
-            for i in range(10):
-                tracer.record("engine.loop", i, value=float(i))
-    """
-
-    GOOD = """
-        from repro.obs import live, trace
-
-        def optimize(tracer):
-            for i in range(10):
-                tracer.record("engine.loop", i, value=float(i))
-                live.progress("engine.loop", i, value=float(i))
-    """
-
-    def test_flags_record_without_progress(self):
-        findings = _lint(self.BAD, "repro/eplace/fake.py", "RPR203")
-        assert _rule_ids(findings) == {"RPR203"}
-        assert "live" in findings[0].message
-
-    def test_clean_paired_progress(self):
-        assert not _lint(self.GOOD, "repro/eplace/fake.py", "RPR203")
-
-    def test_clean_nested_callback(self):
-        # the xu-style pattern: record+progress inside a nested
-        # closure still satisfies the outer function
-        src = """
-            from repro.obs import live, trace
-
-            def optimize(tracer):
-                def callback(i, value):
-                    tracer.record("engine.cg", i, value=value)
-                    live.progress("engine.cg", i, value=value)
-                return callback
-        """
-        assert not _lint(src, "repro/xu_ispd19/fake.py", "RPR203")
-
-    def test_non_engine_scope_not_checked(self):
-        assert not _lint(self.BAD, "repro/parasitics/fake.py",
-                         "RPR203")
-
-
-class TestHealthChannelRPR204:
-    BAD = """
-        from repro.obs import health, live, trace
-
-        HEALTH_FIELDS = ("grad_norm", "step_length")
-
-        def optimize(tracer):
-            for i in range(10):
-                tracer.record("engine.loop", i, value=float(i))
-                live.progress("engine.loop", i, value=float(i))
-    """
-
-    GOOD = """
-        from repro.obs import health, live, trace
-
-        HEALTH_FIELDS = ("grad_norm", "step_length")
-
-        def optimize(tracer):
-            for i in range(10):
-                tracer.record("engine.loop", i, value=float(i))
-                live.progress("engine.loop", i, value=float(i))
-                health.sample("engine.loop", i, grad_norm=1.0,
-                              step_length=0.5)
-    """
-
-    def test_flags_progress_without_health(self):
-        findings = _lint(self.BAD, "repro/eplace/fake.py", "RPR204")
-        assert _rule_ids(findings) == {"RPR204"}
-        assert "HEALTH_FIELDS" in findings[0].message
-
-    def test_clean_paired_health_sample(self):
-        assert not _lint(self.GOOD, "repro/eplace/fake.py", "RPR204")
-
-    def test_undeclared_module_not_checked(self):
-        # no HEALTH_FIELDS declaration: the engine has no health
-        # instrumentation and progress-only loops stay legal
-        src = """
-            from repro.obs import live, trace
-
-            def optimize(tracer):
-                for i in range(10):
-                    tracer.record("engine.loop", i, value=float(i))
-                    live.progress("engine.loop", i, value=float(i))
-        """
-        assert not _lint(src, "repro/eplace/fake.py", "RPR204")
-
-    def test_non_engine_scope_not_checked(self):
-        assert not _lint(self.BAD, "repro/parasitics/fake.py",
-                         "RPR204")
 
 
 class TestNoPrintRPR202:

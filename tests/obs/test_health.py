@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.annealing import SAParams, anneal_place
 from repro.eplace import EPlaceParams, eplace_global
-from repro.obs import health, live, tracing
+from repro.obs import emit, health, live, tracing
 from repro.perf_driven.eplace_ap import EPlaceAPGlobalPlacer
 from repro.perf_driven.perf_xu import XuPerfGlobalPlacer
 from repro.xu_ispd19 import XuParams, xu_global
@@ -147,3 +147,45 @@ def test_base_phase_helpers():
     assert health.base_phase("eplace.nesterov") == "eplace.nesterov"
     assert health.is_health_phase("xu.cg.health")
     assert not health.is_health_phase("xu.cg")
+
+
+class TestEmit:
+    """``emit`` is the one record-site call: trace then bus."""
+
+    def test_records_both_phases_then_publishes_in_order(self):
+        sub = live.CollectingSubscriber()
+        bus = live.EventBus(source=3)
+        bus.subscribe(sub)
+        with tracing() as tracer, live.session(bus):
+            emit("p", 2.0, progress={"value": 1.5},
+                 health={"grad_norm": 0.5})
+        convergence = tracer.to_trace().convergence
+        assert [(r.phase, r.iteration, r.values) for r in convergence] \
+            == [("p", 2, {"value": 1.5}),
+                ("p" + health.HEALTH_SUFFIX, 2, {"grad_norm": 0.5})]
+        assert [type(e) for e in sub.events] == [
+            live.ProgressEvent, health.HealthSample]
+        assert [(e.phase, e.iteration, e.values, e.source)
+                for e in sub.events] == [
+            ("p", 2, {"value": 1.5}, 3), ("p", 2, {"grad_norm": 0.5}, 3)]
+
+    def test_disabled_tracer_constructs_no_records(self, monkeypatch):
+        from repro.obs import trace
+
+        constructed: list[int] = []
+        real = trace.IterationRecord
+
+        class Counting(real):  # type: ignore[misc, valid-type]
+            def __init__(self, *args, **kwargs):
+                constructed.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(trace, "IterationRecord", Counting)
+        with live.session(), tracing(enabled=False):
+            emit("p", 0, progress={"value": 1.0},
+                 health={"grad_norm": 0.5})
+        assert constructed == []
+        with tracing():
+            emit("p", 0, progress={"value": 1.0},
+                 health={"grad_norm": 0.5})
+        assert len(constructed) == 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import live
+from repro.obs import emit, live
 
 
 class TestEventBus:
@@ -40,8 +40,8 @@ class TestEventBus:
         bus.subscribe(sub)
         with live.session(bus):
             live.phase("task", "start")
-            live.progress("p", 1, value=2.0)
-        assert [e.source for e in sub.events] == [7, 7]
+            emit("p", 1, progress={"value": 2.0}, health={})
+        assert [e.source for e in sub.events] == [7, 7, 7]
         assert sub.events[1].values == {"value": 2.0}
 
 
@@ -49,7 +49,7 @@ class TestSession:
     def test_no_active_bus_is_noop(self):
         assert live.current() is None
         assert not live.active()
-        live.progress("orphan", 0, value=1.0)  # must not raise
+        emit("orphan", 0, progress={}, health={})  # must not raise
         live.phase("orphan", "start")
 
     def test_session_activates_and_nests(self):
@@ -74,12 +74,12 @@ class TestSession:
         monkeypatch.setattr(live, "ProgressEvent", Counting)
         assert not live.active()
         for i in range(100):
-            live.progress("p", i, value=float(i))
+            emit("p", i, progress={"value": float(i)}, health={})
         # the overhead guard: zero event construction when the bus is
         # off — the disabled path is one thread-local lookup
         assert constructed == []
         with live.session():
-            live.progress("p", 0, value=0.0)
+            emit("p", 0, progress={"value": 0.0}, health={})
         assert len(constructed) == 1
 
     def test_disabled_bus_constructs_no_health_samples(
@@ -98,12 +98,12 @@ class TestSession:
         monkeypatch.setattr(health, "HealthSample", Counting)
         assert not live.active()
         for i in range(100):
-            health.sample("p", i, grad_norm=float(i))
+            emit("p", i, progress={}, health={"grad_norm": float(i)})
         # same zero-construction guarantee as progress: the health
         # channel costs one thread-local lookup when no bus is active
         assert constructed == []
         with live.session():
-            health.sample("p", 0, grad_norm=0.0)
+            emit("p", 0, progress={}, health={"grad_norm": 0.0})
         assert len(constructed) == 1
 
 

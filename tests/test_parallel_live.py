@@ -8,14 +8,15 @@ import time
 
 import pytest
 
-from repro.obs import live
+from repro.obs import emit, live
 from repro.parallel import parallel_map_live
 
 
 def _emit_worker(item: int) -> int:
     """Publishes a deterministic per-item stream, returns item * 2."""
     for i in range(1, item + 1):
-        live.progress("w.loop", i, value=float(item * 100 + i))
+        emit("w.loop", i, progress={"value": float(item * 100 + i)},
+             health={})
     return item * 2
 
 
