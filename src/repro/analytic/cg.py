@@ -82,8 +82,8 @@ def conjugate_gradient(
     ``callback(iteration, value, grad_norm, step_length, halvings,
     restarts)`` — ``halvings`` is the line-search backtrack count for
     this step and ``restarts`` the cumulative steepest-descent /
-    conjugacy resets so far, the solver internals the health channel
-    publishes; ``None`` (the default) costs nothing.
+    conjugacy resets so far, the solver internals the health records
+    carry; ``None`` (the default) costs nothing.
     """
     v = np.asarray(v0, dtype=float).copy()
     value, grad = objective(v)

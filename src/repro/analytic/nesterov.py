@@ -38,7 +38,7 @@ class StepInfo:
     ``step_predicted`` is the inverse-Lipschitz step before the
     backtracking line search touched it and ``backtracks`` counts the
     halvings it took — together they say how often the local curvature
-    estimate overshoots (the health channel publishes both).  A search
+    estimate overshoots (the health records carry both).  A search
     that exhausts every trial reports ``backtrack + 1`` halvings.
 
     ``frozen`` marks a step that had step length exactly 0 and left

@@ -31,7 +31,7 @@ import numpy as np
 from ..analytic import NetArrays
 from ..netlist import Axis, Circuit
 from ..netlist.order import topological_order
-from ..obs import diagnose, emit, live, memory, metrics, trace
+from ..obs import diagnose, emit, memory, metrics, trace
 from ..obs.log import get_logger
 from ..placement import Placement, PlacerResult
 
@@ -544,7 +544,7 @@ class SimulatedAnnealingPlacer:
                             )
                         if cost < best_cost:
                             best_state, best_cost = state.copy(), cost
-            if tracer.enabled or live.active():
+            if tracer.enabled:
                 values = dict(
                     temperature=temperature,
                     cost=cost,

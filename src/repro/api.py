@@ -30,8 +30,8 @@ from .eplace import EPlaceParams, eplace_global
 from .legalize import DetailedParams, detailed_place, \
     lp_two_stage_detailed_placement
 from .netlist import Circuit
-from .obs import diagnose, live, metrics, trace, tracing
-from .parallel import parallel_map, parallel_map_live
+from .obs import diagnose, metrics, trace, tracing
+from .parallel import parallel_map
 from .placement import PlacerResult
 from .xu_ispd19 import XuParams, xu_global
 
@@ -174,24 +174,13 @@ def place_multiseed(
     ranged from -0.65 to 0.77, and the GP-best seed was the DP-best
     seed on only 2 of the 5 circuits, while post-DP results spread
     2-12% across seeds.
-
-    Live telemetry: when the calling thread has an active
-    :class:`repro.obs.live.EventBus` (``with live.session():``), the
-    fan-out streams every seed's per-iteration events onto it via
-    :func:`repro.parallel.parallel_map_live`, stamped with the seed's
-    task index as ``source``.
     """
     tracer = trace.current()
     traced = tracer.enabled
     payloads = [
         (circuit, method, seed, kwargs, traced) for seed in seeds
     ]
-    if not live.active():
-        results = parallel_map(_seed_worker, payloads, jobs=jobs)
-    else:
-        results = parallel_map_live(
-            _seed_worker, payloads, jobs=jobs, bus=live.current(),
-        )
+    results = parallel_map(_seed_worker, payloads, jobs=jobs)
     if traced:
         for result in results:
             tracer.absorb(result.trace)

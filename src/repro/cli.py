@@ -24,13 +24,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
 
 from . import obs
 from .annealing import SAParams
 from .api import METHODS, place, place_multiseed
-from .obs import live
-from .obs.registry import RegistryError
+from .obs.registry import RegistryError, read_run_trace
 from .circuits import PAPER_TESTCASES, make
 from .placement import audit_constraints
 from .placement.io import load_placement, save_placement, save_svg
@@ -116,26 +114,19 @@ def _cmd_place(args) -> int:
         return min(results, key=lambda r: r.metrics()["hpwl"])
 
     writer = None
-    tracer = None
-    with ExitStack() as stack:
-        if want_trace:
-            tracer = stack.enter_context(obs.tracing())
-        if args.save_run:
-            writer = obs.RunRegistry().create(
-                "place", f"{circuit.name}:{args.method}",
-                config={
-                    "circuit": circuit.name, "method": args.method,
-                    "seed": args.seed, "seeds": seeds,
-                    "jobs": args.jobs,
-                    "sa_iterations": args.sa_iterations,
-                },
-            )
-            bus = obs.EventBus()
-            bus.subscribe(writer.event_subscriber())
-            stack.enter_context(live.session(bus))
-            stack.enter_context(obs.ResourceSampler(bus))
+    if args.save_run:
+        writer = obs.RunRegistry().create(
+            "place", f"{circuit.name}:{args.method}",
+            config={
+                "circuit": circuit.name, "method": args.method,
+                "seed": args.seed, "seeds": seeds,
+                "jobs": args.jobs,
+                "sa_iterations": args.sa_iterations,
+            },
+        )
+    with obs.tracing(enabled=want_trace) as tracer:
         result = _run()
-    if tracer is not None and not result.trace:
+    if want_trace and not result.trace:
         result.trace = tracer.to_trace()
     metrics = result.metrics()
     audit = audit_constraints(result.placement)
@@ -176,9 +167,11 @@ def _cmd_place(args) -> int:
         _echo()
         _echo(obs.format_profile(result.trace, result.runtime_s))
     if writer is not None:
+        # the run keeps the whole invocation's trace: under --seeds,
+        # every seed's records, merged in seed order
         writer.write_trace(
-            result.trace, method=result.method, circuit=circuit.name,
-            runtime_s=result.runtime_s,
+            tracer.to_trace(), method=result.method,
+            circuit=circuit.name, runtime_s=result.runtime_s,
         )
         path = writer.finalize(metrics=dict(metrics))
         _echo(f"run      : {path}")
@@ -249,30 +242,18 @@ def _run_diagnosis(run):
     """Best-available Diagnosis for a registry run, or ``None``.
 
     Prefers the manifest's stored verdicts (schema ``repro.run/2``);
-    older runs fall back to recomputing from ``events.jsonl`` and then
-    ``trace.jsonl``, so ``doctor``/``--health`` work on ``repro.run/1``
-    directories too.
+    older runs fall back to recomputing from ``trace.jsonl``, so
+    ``doctor``/``--health`` work on ``repro.run/1`` directories too.
     """
     from .obs import diagnose
-    from .obs.report import load_events
 
     doc = run.manifest.get("diagnosis")
     if isinstance(doc, dict):
         return diagnose.Diagnosis.from_dict(doc)
-    events = load_events(run.path / "events.jsonl")
-    if events:
-        diagnosis = diagnose.diagnose_events(events)
-        if diagnosis.phases:
-            return diagnosis
-    trace_path = run.path / "trace.jsonl"
-    if trace_path.is_file():
-        try:
-            _, trace = obs.read_jsonl(trace_path)
-        except (OSError, ValueError, KeyError):
-            return None
-        if trace.convergence:
-            return diagnose.diagnose_trace(trace)
-    return None
+    trace = read_run_trace(run.path)
+    if trace is None or not trace.convergence:
+        return None
+    return diagnose.diagnose_trace(trace)
 
 
 def _echo_diagnosis(diagnosis) -> None:
@@ -320,19 +301,12 @@ def _dispatch_runs(registry, args) -> int:
                   + json.dumps(config, sort_keys=True, default=str))
         for key, value in sorted(run.metrics.items()):
             _echo(f"  {key:20s} {value:12.6g}")
-        conv_path = run.path / "convergence.json"
-        if conv_path.is_file():
-            with open(conv_path) as handle:
-                doc = json.load(handle)
-            for phase, series in sorted(doc.get("phases", {}).items()):
+        trace = read_run_trace(run.path)
+        if trace is not None:
+            for phase, series in sorted(
+                    obs.export.convergence_series(trace).items()):
                 _echo(f"phase    : {phase} "
-                      f"({len(series.get('iterations', []))} "
-                      "iterations)")
-        events_path = run.path / "events.jsonl"
-        if events_path.is_file():
-            with open(events_path) as handle:
-                count = sum(1 for _ in handle)
-            _echo(f"events   : {count}")
+                      f"({len(series['iterations'])} iterations)")
         for entry in sorted(run.path.iterdir()):
             _echo(f"file     : {entry.name} "
                   f"({entry.stat().st_size} B)")

@@ -25,7 +25,7 @@ from ..analytic import (
     wa_wirelength,
 )
 from ..netlist import Circuit
-from ..obs import diagnose, emit, live, memory, metrics, trace
+from ..obs import diagnose, emit, memory, metrics, trace
 from ..obs.log import get_logger
 from ..placement import Placement, PlacerResult
 from .hard_symmetry import HardSymmetryMap
@@ -127,7 +127,7 @@ class EPlaceGlobalPlacer:
         """Full objective terms and gradient in device-coordinate space."""
         p = self.params
         gamma = self._gamma()
-        observing = trace.active() or live.active()
+        observing = trace.active()
         with trace.timer("eplace.gp.wirelength"):
             value_w, gx, gy = wa_wirelength(self.arrays, x, y, gamma)
         value = value_w
@@ -288,7 +288,7 @@ class EPlaceGlobalPlacer:
         history = []
         iterations = 0
         stop_reason = "max_iters"
-        recording = tracer.enabled or live.active()
+        recording = tracer.enabled
         with tracer.span("eplace.gp.nesterov"):
             for iterations in range(1, p.max_iters + 1):
                 info = optimizer.step()

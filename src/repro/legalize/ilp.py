@@ -35,13 +35,14 @@ ePlace-A flow uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
-from ..netlist import Axis
+from ..netlist import Axis, Circuit
 from ..obs import memory, metrics, trace
 from ..obs.log import get_logger
 from ..placement import Placement, PlacerResult, summarize
@@ -150,23 +151,112 @@ class _Model:
                  "v_width", "v_height", "free_list")
 
 
+def _pseudo_steps(circuit: Circuit, params: DetailedParams) -> float:
+    """The pseudo-extent ``W~ = sqrt(sum s_i / zeta)`` in grid steps."""
+    pseudo = float(np.sqrt(circuit.total_device_area() / params.zeta))
+    return pseudo / params.grid
+
+
+class _Incumbent:
+    """What one input placement fixes in every model built from it.
+
+    The presymmetrized snapshot, its separation list and the
+    consistency-derived coordinate bound depend only on the placement
+    and ``params``, so the LNS rounds from one incumbent build their
+    models from one instance.  The bound and its two consistency LPs
+    are computed on first use: :func:`iterate_directions` reads the
+    separation list for its skip check and needs no LP when the check
+    stops it.
+    """
+
+    def __init__(self, placement: Placement,
+                 params: DetailedParams) -> None:
+        self.params = params
+        self.snapped = presymmetrize(placement)
+        self.separations = separation_constraints(self.snapped)
+
+    @cached_property
+    def extents(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """Half widths, half heights and the coordinate upper bound,
+        all in grid steps.
+
+        Raises :class:`DetailedPlacementError` on odd grid dimensions
+        or an inconsistent constraint system.
+        """
+        circuit = self.snapped.circuit
+        params = self.params
+        grid = params.grid
+        widths_um, heights_um = circuit.sizes()
+        half_w = np.array([_steps(w, grid) for w in widths_um])
+        half_h = np.array([_steps(h, grid) for h in heights_um])
+        if np.any(half_w % 2) or np.any(half_h % 2):
+            odd = [circuit.device_names[i] for i in
+                   np.nonzero((half_w % 2) | (half_h % 2))[0]]
+            raise DetailedPlacementError(
+                f"devices {odd} have odd grid dimensions; centre "
+                "coordinates would be half-integral"
+            )
+        half_w //= 2
+        half_h //= 2
+        pseudo_steps = _pseudo_steps(circuit, params)
+        ub_coord = int(np.ceil(params.region_slack * pseudo_steps)) + 1
+
+        # pre-solve consistency certificate: the rows are
+        # axis-decoupled, so a per-axis LP decides feasibility exactly
+        # and yields the minimal outline extent the derived constraints
+        # require.  An inconsistent system fails here with the
+        # conflicting rows named; a consistent one widens ub_coord when
+        # separation chains (coupled through symmetry axes) need more
+        # room than the slack default.
+        report_x, report_y = check_consistency(
+            circuit, self.separations, half_w, half_h
+        )
+        bad = [r for r in (report_x, report_y) if not r.feasible]
+        if bad:
+            detail = "; ".join(
+                f"{r.axis}-axis conflict: " + ", ".join(r.conflict)
+                for r in bad
+            )
+            raise DetailedPlacementError(
+                f"inconsistent detailed-placement constraints for "
+                f"{circuit.name!r}: {detail}"
+            )
+        needed = max(report_x.min_extent, report_y.min_extent)
+        if np.isfinite(needed):
+            widened = int(np.ceil(needed)) + 4
+            if widened > ub_coord:
+                logger.debug(
+                    "ILP %s: widening coordinate bound %d -> %d steps "
+                    "to fit minimal extents (x %.1f, y %.1f)",
+                    circuit.name, ub_coord, widened,
+                    report_x.min_extent, report_y.min_extent,
+                )
+                ub_coord = widened
+        return half_w, half_h, ub_coord
+
+
 def _solve_model(
     placement: Placement,
     params: DetailedParams,
     free_keys: frozenset[tuple[int, int]] = frozenset(),
     time_limit: float | None = None,
+    incumbent: "_Incumbent | None" = None,
 ) -> tuple[Placement, dict]:
     """Build and solve one (M)ILP instance; returns placement + stats.
 
     ``free_keys`` are device-index pairs whose separation direction and
     order become MILP decisions (four big-M rows over two binaries);
     every other pair keeps the direction derived from ``placement``.
+    ``incumbent`` is ``placement``'s :class:`_Incumbent` when the
+    caller shares one across solves; it is derived here otherwise.
     """
     circuit = placement.circuit
     n = circuit.num_devices
     grid = params.grid
     with trace.span("legalize.ilp.model", circuit=circuit.name):
-        m = _build_model(placement, params, free_keys)
+        if incumbent is None:
+            incumbent = _Incumbent(placement, params)
+        m = _build_model(incumbent, free_keys)
     with trace.span("legalize.ilp.solve", num_vars=m.num_vars,
                     num_rows=m.rows.count):
         result = milp(
@@ -215,65 +305,18 @@ def _solve_model(
 
 
 def _build_model(
-    placement: Placement,
-    params: DetailedParams,
+    incumbent: _Incumbent,
     free_keys: frozenset[tuple[int, int]],
 ) -> _Model:
     """Assemble formulation (4a)-(4j) for one placement snapshot."""
-    circuit = placement.circuit
+    params = incumbent.params
+    snapped = incumbent.snapped
+    separations = incumbent.separations
+    half_w, half_h, ub_coord = incumbent.extents
+    circuit = snapped.circuit
     n = circuit.num_devices
     grid = params.grid
-    widths_um, heights_um = circuit.sizes()
-
-    snapped = presymmetrize(placement)
-    separations = separation_constraints(snapped)
-
-    half_w = np.array([_steps(w, grid) for w in widths_um])
-    half_h = np.array([_steps(h, grid) for h in heights_um])
-    if np.any(half_w % 2) or np.any(half_h % 2):
-        odd = [circuit.device_names[i] for i in
-               np.nonzero((half_w % 2) | (half_h % 2))[0]]
-        raise DetailedPlacementError(
-            f"devices {odd} have odd grid dimensions; centre "
-            "coordinates would be half-integral"
-        )
-    half_w //= 2
-    half_h //= 2
-
-    pseudo = float(np.sqrt(circuit.total_device_area() / params.zeta))
-    pseudo_steps = pseudo / grid
-    ub_coord = int(np.ceil(params.region_slack * pseudo_steps)) + 1
-
-    # pre-solve consistency certificate: the rows are axis-decoupled,
-    # so a per-axis LP decides feasibility exactly and yields the
-    # minimal outline extent the derived constraints require.  An
-    # inconsistent system fails here with the conflicting rows named;
-    # a consistent one widens ub_coord when separation chains (coupled
-    # through symmetry axes) need more room than the slack default.
-    report_x, report_y = check_consistency(
-        circuit, separations, half_w, half_h
-    )
-    bad = [r for r in (report_x, report_y) if not r.feasible]
-    if bad:
-        detail = "; ".join(
-            f"{r.axis}-axis conflict: " + ", ".join(r.conflict)
-            for r in bad
-        )
-        raise DetailedPlacementError(
-            f"inconsistent detailed-placement constraints for "
-            f"{circuit.name!r}: {detail}"
-        )
-    needed = max(report_x.min_extent, report_y.min_extent)
-    if np.isfinite(needed):
-        widened = int(np.ceil(needed)) + 4
-        if widened > ub_coord:
-            logger.debug(
-                "ILP %s: widening coordinate bound %d -> %d steps to "
-                "fit minimal extents (x %.1f, y %.1f)",
-                circuit.name, ub_coord, widened,
-                report_x.min_extent, report_y.min_extent,
-            )
-            ub_coord = widened
+    pseudo_steps = _pseudo_steps(circuit, params)
 
     # ------------------------------------------------------------------
     # variable layout
@@ -552,12 +595,12 @@ def iterate_directions(
     current = placement
     solved_from = None
     for _ in range(params.iterate_rounds):
+        incumbent = _Incumbent(current, params)
         if not anchored:
-            separations = separation_constraints(presymmetrize(current))
-            if separations == solved_from:
+            if incumbent.separations == solved_from:
                 break
-            solved_from = separations
-        current, _ = _solve_model(current, params)
+            solved_from = incumbent.separations
+        current, _ = _solve_model(current, params, incumbent=incumbent)
         rounds += 1
         score = _score(current, params)
         if score >= best_score - 1e-9:
@@ -617,10 +660,13 @@ def lns_rounds(
     """
     rng = np.random.default_rng(params.seed)
     best = placement
+    incumbent = None
     accepted = 0
     for _ in range(params.refine_rounds):
+        if incumbent is None:
+            incumbent = _Incumbent(best, params)
         freed = _nearest_free_pairs(
-            presymmetrize(best), params.candidate_pool,
+            incumbent.snapped, params.candidate_pool,
             params.free_pairs, rng,
         )
         if not freed:
@@ -629,6 +675,7 @@ def lns_rounds(
             candidate, _ = _solve_model(
                 best, params, free_keys=freed,
                 time_limit=params.refine_time_limit_s,
+                incumbent=incumbent,
             )
         except DetailedPlacementError:
             logger.debug(
@@ -639,6 +686,7 @@ def lns_rounds(
         kept = accept(candidate)
         if kept is not None:
             best = kept
+            incumbent = None
             accepted += 1
     return best, accepted
 

@@ -22,18 +22,12 @@ Rule families (ids are stable; see ``--list-rules`` for summaries):
 * ``RPR004``/``RPR005`` interprocedural determinism taint — public
   entry points *transitively* reaching a wall-clock read / unseeded
   RNG through the whole-program call graph (the direct call sites are
-  RPR001/RPR002's job; these print the full call chain);
-* ``RPR4xx`` concurrency — bare ``lock.acquire()`` (RPR401), process
-  forks reachable while a sampler/thread is live or a module-level
-  lock is held (RPR402), unsynchronized shared-state writes in thread
-  targets (RPR403), lock-acquisition-order cycles across the call
-  graph (RPR404).
+  RPR001/RPR002's job; these print the full call chain).
 
 The whole-program rules are built on :mod:`repro.lint.graph` — a
 cross-module symbol table and call graph with conservative fallback
-binding for dynamic calls — and are complemented at runtime by the
-:mod:`repro.sanitize` race sanitizer (``REPRO_SANITIZE=1``).  See
-``docs/STATIC_ANALYSIS.md`` for the full design.
+binding for dynamic calls.  See ``docs/STATIC_ANALYSIS.md`` for the
+full design.
 
 Suppress a finding inline with ``# repro-lint: disable=RPR101`` (one
 line) or ``# repro-lint: disable-file=RPR301`` (whole file); every

@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Project-specific static analysis: determinism, numerical "
             "safety, observability contract, API hygiene and "
-            "whole-program concurrency/fork-safety rules."
+            "whole-program determinism-taint rules."
         ),
     )
     parser.add_argument(

@@ -1,18 +1,15 @@
 """Whole-program symbol table and call graph over ``src/repro``.
 
 The per-file rules in :mod:`repro.lint.rules` see one AST at a time, so
-a wall-clock call laundered through a helper in another module, a fork
-taken three calls below a live sampler thread, or a lock-order
-inversion spanning two modules is invisible to them.  This module
-builds the cross-module view those bug classes need:
+a wall-clock read or an unseeded RNG laundered through a helper in
+another module is invisible to them.  This module builds the
+cross-module view those bug classes need:
 
 * **Module summaries** — each source file is distilled into a
   :class:`ModuleSummary`: its functions (module-level, methods and
-  nested closures) with the calls they make, plus the lexical facts
-  the concurrency rules consume (fork primitives and whether they are
-  guarded, calls made while a thread hazard is live, calls made while
-  a lock is held, nested-lock acquisition edges).  Summaries are plain
-  JSON-able dicts, which is what makes the incremental lint cache
+  nested closures) with the calls they make and their direct
+  wall-clock and RNG facts.  Summaries are plain JSON-able dicts,
+  which is what makes the incremental lint cache
   (:mod:`repro.lint.cache`) sound: an unchanged file contributes its
   cached summary to the graph without being re-parsed.
 * **Call binding** — import aliases are resolved to absolute dotted
@@ -24,7 +21,7 @@ builds the cross-module view those bug classes need:
   plausibly named like it, so the analysis over-approximates rather
   than misses.
 * **Reachability with chains** — rules query "which functions can
-  reach an unguarded fork / a wall-clock read", and every positive
+  reach a wall-clock read / an unseeded RNG", and every positive
   answer carries the call chain down to the offending call so findings
   are actionable, not oracular.
 
@@ -40,21 +37,12 @@ import ast
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .patterns import (
-    FORK_CALL_ATTRS,
-    FORK_GUARD_ATTRS,
-    LOCK_CTOR_ATTRS,
-    SAMPLER_CLASS_ATTRS,
-    THREAD_CLASS_ATTRS,
-    classify_rng_call,
-    classify_wallclock,
-    is_lock_like,
-)
+from .patterns import classify_rng_call, classify_wallclock
 
 #: bump when summary extraction changes shape or semantics — the
 #: incremental cache includes it in its signature, so stale summaries
 #: can never feed the graph
-SUMMARY_VERSION = 2
+SUMMARY_VERSION = 3
 
 #: files under these path fragments are the blessed wall-clock scope
 _OBS_FRAGMENT = "repro/obs/"
@@ -69,8 +57,8 @@ class CallRef:
     """One call site inside a function body.
 
     ``target`` is the import-resolved absolute dotted name when the
-    receiver chain is a plain imported name (``live.phase`` →
-    ``repro.obs.live.phase``); ``None`` for dynamic receivers.
+    receiver chain is a plain imported name (``trace.span`` →
+    ``repro.obs.trace.span``); ``None`` for dynamic receivers.
     ``attr`` is always the final (bare) callee name.
     """
 
@@ -114,29 +102,6 @@ class FunctionSummary:
     clock_calls: "list[tuple[str, int]]" = field(default_factory=list)
     #: direct unseeded/global RNG calls: (violation text, lineno)
     rng_calls: "list[tuple[str, int]]" = field(default_factory=list)
-    #: fork primitives: (description, lineno, guarded)
-    forks: "list[tuple[str, int, bool]]" = field(default_factory=list)
-    #: calls made while a thread hazard is lexically live:
-    #: (hazard description, call)
-    hazard_calls: "list[tuple[str, CallRef]]" = field(
-        default_factory=list)
-    #: unguarded fork primitives hit while a hazard is live:
-    #: (hazard description, fork description, lineno)
-    hazard_forks: "list[tuple[str, str, int]]" = field(
-        default_factory=list)
-    #: calls made while holding a lock: (lock id, module_level, call)
-    lock_held_calls: "list[tuple[str, bool, CallRef]]" = field(
-        default_factory=list)
-    #: unguarded fork primitives hit while holding a module-level
-    #: lock: (lock id, fork description, lineno)
-    lock_held_forks: "list[tuple[str, str, int]]" = field(
-        default_factory=list)
-    #: locks this function acquires via ``with``: (lock id, lineno)
-    lock_withs: "list[tuple[str, int]]" = field(default_factory=list)
-    #: nested acquisition edges within this function:
-    #: (outer lock, inner lock, lineno)
-    lock_edges: "list[tuple[str, str, int]]" = field(
-        default_factory=list)
 
     def to_dict(self) -> "dict[str, Any]":
         return {
@@ -147,18 +112,6 @@ class FunctionSummary:
             "calls": [c.to_dict() for c in self.calls],
             "clock_calls": [list(t) for t in self.clock_calls],
             "rng_calls": [list(t) for t in self.rng_calls],
-            "forks": [list(t) for t in self.forks],
-            "hazard_calls": [
-                [h, c.to_dict()] for h, c in self.hazard_calls
-            ],
-            "hazard_forks": [list(t) for t in self.hazard_forks],
-            "lock_held_calls": [
-                [lock, ml, c.to_dict()]
-                for lock, ml, c in self.lock_held_calls
-            ],
-            "lock_held_forks": [list(t) for t in self.lock_held_forks],
-            "lock_withs": [list(t) for t in self.lock_withs],
-            "lock_edges": [list(t) for t in self.lock_edges],
         }
 
     @classmethod
@@ -173,28 +126,6 @@ class FunctionSummary:
                 (t[0], int(t[1])) for t in data["clock_calls"]
             ],
             rng_calls=[(t[0], int(t[1])) for t in data["rng_calls"]],
-            forks=[
-                (t[0], int(t[1]), bool(t[2])) for t in data["forks"]
-            ],
-            hazard_calls=[
-                (h, CallRef.from_dict(c))
-                for h, c in data["hazard_calls"]
-            ],
-            hazard_forks=[
-                (t[0], t[1], int(t[2])) for t in data["hazard_forks"]
-            ],
-            lock_held_calls=[
-                (lock, bool(ml), CallRef.from_dict(c))
-                for lock, ml, c in data["lock_held_calls"]
-            ],
-            lock_held_forks=[
-                (t[0], t[1], int(t[2]))
-                for t in data["lock_held_forks"]
-            ],
-            lock_withs=[(t[0], int(t[1])) for t in data["lock_withs"]],
-            lock_edges=[
-                (t[0], t[1], int(t[2])) for t in data["lock_edges"]
-            ],
         )
 
 
@@ -254,7 +185,7 @@ class ModuleSummary:
 def module_name_for_rel(rel: str) -> "str | None":
     """Dotted module name from a scoped path, or ``None``.
 
-    ``src/repro/obs/live.py`` → ``repro.obs.live``;
+    ``src/repro/obs/trace.py`` → ``repro.obs.trace``;
     ``repro/obs/__init__.py`` → ``repro.obs``.  Paths without a
     ``repro`` segment are outside the project graph.
     """
@@ -359,15 +290,6 @@ def _own_calls(node: ast.AST) -> "Iterable[ast.Call]":
         stack.extend(ast.iter_child_nodes(current))
 
 
-@dataclass
-class _Hazard:
-    """One live thread hazard during the lexical walk."""
-
-    desc: str
-    var: "str | None"  # variable whose stop()/join() clears it
-    depth: "int | None"  # with-depth that scopes it (None: persistent)
-
-
 class _FunctionExtractor:
     """Lexical walker filling one :class:`FunctionSummary`."""
 
@@ -375,97 +297,12 @@ class _FunctionExtractor:
         self,
         summary: FunctionSummary,
         table: "dict[str, str]",
-        module_locks: "set[str]",
-        instance_locks: "dict[str, set[str]]",
-        module: str,
         in_obs: bool,
     ) -> None:
         self.out = summary
         self.table = table
-        self.module_locks = module_locks
-        self.instance_locks = instance_locks
-        self.module = module
         self.in_obs = in_obs
-        self.guard_depth = 0
-        self.with_depth = 0
-        #: (lock id, module_level) innermost-last
-        self.lock_stack: "list[tuple[str, bool]]" = []
-        self.hazards: "list[_Hazard]" = []
-        #: local variable → "sampler" | "thread" | "thread-daemon"
-        self.var_kinds: "dict[str, str]" = {}
 
-    # -- classification helpers ----------------------------------------
-    def _lock_id(self, node: ast.expr) -> "tuple[str, bool] | None":
-        """(lock id, is_module_level) for a with-context expression."""
-        if isinstance(node, ast.Name):
-            if node.id in self.module_locks:
-                return f"{self.module}.{node.id}", True
-            if is_lock_like(node):
-                # an imported lock name is the *other* module's lock:
-                # resolve through the alias table so both modules see
-                # one identity (lock-order cycles span modules)
-                target = self.table.get(node.id)
-                if target is not None and target.startswith("repro."):
-                    return target, True
-                return f"{self.module}.{node.id}", False
-            return None
-        if isinstance(node, ast.Attribute):
-            value = node.value
-            if isinstance(value, ast.Name) and value.id in (
-                "self", "cls"
-            ):
-                cls_name = self.out.cls
-                if cls_name is not None and node.attr in (
-                    self.instance_locks.get(cls_name, set())
-                ):
-                    return (
-                        f"{self.module}.{cls_name}.{node.attr}", False
-                    )
-                if is_lock_like(node):
-                    owner = cls_name or "self"
-                    return (
-                        f"{self.module}.{owner}.{node.attr}", False
-                    )
-                return None
-            dotted, attr, _, _ = _call_parts(node, self.table)
-            if dotted is not None:
-                tail = dotted.rsplit(".", 1)
-                if len(tail) == 2 and tail[0] == self.module and (
-                    tail[1] in self.module_locks
-                ):
-                    return dotted, True
-                if dotted.startswith("repro.") and is_lock_like(node):
-                    return dotted, True
-            if is_lock_like(node):
-                return f"{self.module}.~{node.attr}", False
-        return None
-
-    def _ctor_kind(self, call: ast.Call) -> "str | None":
-        """"sampler"/"thread"/"thread-daemon" for hazardous ctors."""
-        _, attr, _, _ = _call_parts(call.func, self.table)
-        if attr in SAMPLER_CLASS_ATTRS:
-            return "sampler"
-        if attr in THREAD_CLASS_ATTRS:
-            for kw in call.keywords:
-                if kw.arg == "daemon" and isinstance(
-                    kw.value, ast.Constant
-                ) and kw.value.value is True:
-                    return "thread-daemon"
-            return "thread"
-        return None
-
-    def _fork_desc(self, attr: str, target: "str | None") -> "str | None":
-        """Fork-primitive description, or ``None`` for ordinary calls."""
-        if attr not in FORK_CALL_ATTRS:
-            return None
-        if attr == "fork" and target not in ("os.fork",):
-            return None
-        return f"{target or attr}()"
-
-    def _hazard_desc(self) -> str:
-        return self.hazards[0].desc
-
-    # -- event recording -----------------------------------------------
     def _record_call(self, call: ast.Call) -> None:
         target, attr, self_call, name_call = _call_parts(
             call.func, self.table
@@ -473,63 +310,6 @@ class _FunctionExtractor:
         lineno = getattr(call, "lineno", self.out.lineno)
         if attr is None:
             return
-
-        # thread lifecycle on tracked local variables
-        receiver = None
-        if isinstance(call.func, ast.Attribute) and isinstance(
-            call.func.value, ast.Name
-        ):
-            receiver = call.func.value.id
-        if receiver is not None and receiver in self.var_kinds:
-            kind = self.var_kinds[receiver]
-            if attr == "start" and kind in ("sampler", "thread"):
-                self.hazards.append(_Hazard(
-                    desc=(
-                        f"{'sampler' if kind == 'sampler' else 'thread'}"
-                        f" {receiver!r} started at line {lineno}"
-                    ),
-                    var=receiver, depth=None,
-                ))
-            elif attr in ("stop", "join"):
-                self.hazards = [
-                    h for h in self.hazards if h.var != receiver
-                ]
-
-        # ExitStack.enter_context(ResourceSampler(...)) — scoped to
-        # the enclosing with block (where the stack unwinds)
-        if attr == "enter_context" and call.args:
-            arg = call.args[0]
-            arg_kind: "str | None" = None
-            if isinstance(arg, ast.Call):
-                arg_kind = self._ctor_kind(arg)
-            elif isinstance(arg, ast.Name):
-                arg_kind = self.var_kinds.get(arg.id)
-            if arg_kind in ("sampler", "thread"):
-                self.hazards.append(_Hazard(
-                    desc=(
-                        f"{'sampler' if arg_kind == 'sampler' else 'thread'}"
-                        f" entered at line {lineno}"
-                    ),
-                    var=None,
-                    depth=self.with_depth if self.with_depth else None,
-                ))
-
-        fork = self._fork_desc(attr, target)
-        if fork is not None:
-            guarded = self.guard_depth > 0
-            self.out.forks.append((fork, lineno, guarded))
-            if not guarded:
-                if self.hazards:
-                    self.out.hazard_forks.append(
-                        (self._hazard_desc(), fork, lineno)
-                    )
-                for lock, module_level in self.lock_stack:
-                    if module_level:
-                        self.out.lock_held_forks.append(
-                            (lock, fork, lineno)
-                        )
-            return
-
         if not self.in_obs and target is not None:
             clock = classify_wallclock(target)
             if clock is not None:
@@ -538,23 +318,17 @@ class _FunctionExtractor:
             rng = classify_rng_call(target, call)
             if rng is not None:
                 self.out.rng_calls.append((rng, lineno))
-
-        ref = CallRef(
+        self.out.calls.append(CallRef(
             attr=attr, target=target, lineno=lineno,
             self_call=self_call, name_call=name_call,
-        )
-        self.out.calls.append(ref)
-        if self.hazards:
-            self.out.hazard_calls.append((self._hazard_desc(), ref))
-        for lock, module_level in self.lock_stack:
-            self.out.lock_held_calls.append((lock, module_level, ref))
+        ))
 
     def _visit_expr(self, node: ast.AST) -> None:
         """Record every call in an expression (no nested scopes)."""
         for call in _own_calls(node):
             self._record_call(call)
 
-    # -- statement walk ------------------------------------------------
+    # -- statement walk (source order, so edges keep first-call lines)
     def visit_block(self, stmts: "list[ast.stmt]") -> None:
         for stmt in stmts:
             self.visit_stmt(stmt)
@@ -563,16 +337,9 @@ class _FunctionExtractor:
         if isinstance(stmt, _SCOPE_NODES):
             return  # nested defs are summarised separately
         if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            self._visit_with(stmt)
-            return
-        if isinstance(stmt, ast.Assign):
-            if isinstance(stmt.value, ast.Call):
-                kind = self._ctor_kind(stmt.value)
-                if kind is not None:
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            self.var_kinds[target.id] = kind
-            self._visit_expr(stmt)
+            for item in stmt.items:
+                self._visit_expr(item.context_expr)
+            self.visit_block(stmt.body)
             return
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
             self._visit_expr(stmt.iter)
@@ -580,12 +347,7 @@ class _FunctionExtractor:
             self.visit_block(stmt.body)
             self.visit_block(stmt.orelse)
             return
-        if isinstance(stmt, ast.While):
-            self._visit_expr(stmt.test)
-            self.visit_block(stmt.body)
-            self.visit_block(stmt.orelse)
-            return
-        if isinstance(stmt, ast.If):
+        if isinstance(stmt, (ast.While, ast.If)):
             self._visit_expr(stmt.test)
             self.visit_block(stmt.body)
             self.visit_block(stmt.orelse)
@@ -599,114 +361,9 @@ class _FunctionExtractor:
             return
         self._visit_expr(stmt)
 
-    def _visit_with(self, stmt: "ast.With | ast.AsyncWith") -> None:
-        guards = 0
-        locks = 0
-        hazards_before = len(self.hazards)
-        self.with_depth += 1
-        for item in stmt.items:
-            ctx = item.context_expr
-            if isinstance(ctx, ast.Call):
-                _, attr, _, _ = _call_parts(ctx.func, self.table)
-                if attr in FORK_GUARD_ATTRS:
-                    self.guard_depth += 1
-                    guards += 1
-                    continue
-                kind = self._ctor_kind(ctx)
-                if kind in ("sampler", "thread"):
-                    self.hazards.append(_Hazard(
-                        desc=(
-                            f"{'sampler' if kind == 'sampler' else 'thread'}"
-                            f" running (with block at line "
-                            f"{stmt.lineno})"
-                        ),
-                        var=None, depth=self.with_depth,
-                    ))
-                    self._visit_expr(ctx)
-                    continue
-                self._visit_expr(ctx)
-                continue
-            lock = self._lock_id(ctx)
-            if lock is not None:
-                lock_id, module_level = lock
-                lineno = getattr(ctx, "lineno", stmt.lineno)
-                self.out.lock_withs.append((lock_id, lineno))
-                for outer, _ in self.lock_stack:
-                    if outer != lock_id:
-                        self.out.lock_edges.append(
-                            (outer, lock_id, lineno)
-                        )
-                self.lock_stack.append((lock_id, module_level))
-                locks += 1
-                continue
-            self._visit_expr(ctx)
-        self.visit_block(stmt.body)
-        self.guard_depth -= guards
-        for _ in range(locks):
-            self.lock_stack.pop()
-        # hazards scoped to this with block end with it
-        depth = self.with_depth
-        self.hazards = [
-            h for i, h in enumerate(self.hazards)
-            if i < hazards_before or h.depth != depth
-        ]
-        self.with_depth -= 1
-
 
 # ---------------------------------------------------------------------------
 # module extraction
-
-
-def _module_level_locks(tree: ast.Module) -> "set[str]":
-    """Names assigned a lock constructor at module level."""
-    locks: "set[str]" = set()
-    for stmt in tree.body:
-        if not isinstance(stmt, ast.Assign):
-            continue
-        if not isinstance(stmt.value, ast.Call):
-            continue
-        func = stmt.value.func
-        leaf = None
-        if isinstance(func, ast.Attribute):
-            leaf = func.attr
-        elif isinstance(func, ast.Name):
-            leaf = func.id
-        if leaf not in LOCK_CTOR_ATTRS:
-            continue
-        for target in stmt.targets:
-            if isinstance(target, ast.Name):
-                locks.add(target.id)
-    return locks
-
-
-def _instance_locks(tree: ast.Module) -> "dict[str, set[str]]":
-    """Class name → attributes assigned a lock constructor."""
-    result: "dict[str, set[str]]" = {}
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        attrs: "set[str]" = set()
-        for sub in ast.walk(node):
-            if not isinstance(sub, ast.Assign):
-                continue
-            if not isinstance(sub.value, ast.Call):
-                continue
-            func = sub.value.func
-            leaf = None
-            if isinstance(func, ast.Attribute):
-                leaf = func.attr
-            elif isinstance(func, ast.Name):
-                leaf = func.id
-            if leaf not in LOCK_CTOR_ATTRS:
-                continue
-            for target in sub.targets:
-                if isinstance(target, ast.Attribute) and isinstance(
-                    target.value, ast.Name
-                ) and target.value.id == "self":
-                    attrs.add(target.attr)
-        if attrs:
-            result[node.name] = attrs
-    return result
 
 
 def _iter_functions(
@@ -715,7 +372,7 @@ def _iter_functions(
     """Yield (def node, enclosing class name, qual suffix) tuples.
 
     The qual suffix is dotted relative to the module: ``place``,
-    ``EventBus.publish``, ``_cmd_place._run``.
+    ``Tracer.record``, ``_cmd_place._run``.
     """
     def walk(
         node: ast.AST, cls: "str | None", prefix: str,
@@ -745,8 +402,6 @@ def extract_module(module: "Any") -> ModuleSummary:
     name = module_name_for_rel(rel)
     is_package = rel.endswith("__init__.py")
     table = absolute_import_table(module.tree, name, is_package)
-    module_locks = _module_level_locks(module.tree)
-    instance_locks = _instance_locks(module.tree)
     in_obs = _OBS_FRAGMENT in rel
     mod_key = name or rel
 
@@ -771,11 +426,7 @@ def extract_module(module: "Any") -> ModuleSummary:
             cls=cls,
             public=public,
         )
-        extractor = _FunctionExtractor(
-            summary, table, module_locks, instance_locks, mod_key,
-            in_obs,
-        )
-        extractor.visit_block(node.body)
+        _FunctionExtractor(summary, table, in_obs).visit_block(node.body)
         functions.append(summary)
 
     return ModuleSummary(
@@ -887,7 +538,6 @@ class ProjectGraph:
         } | {key for key in self.modules if "." not in key}))
         self._edges: "dict[str, list[tuple[str, int]]]" = {}
         self._redges: "dict[str, list[tuple[str, int]]]" = {}
-        self._locks_cache: "dict[str, frozenset[str]]" = {}
         self._bind_all()
 
     # -- binding -------------------------------------------------------
@@ -986,30 +636,6 @@ class ProjectGraph:
     ) -> Reach:
         """Reachability closure over callers of ``sources``."""
         return Reach(self, sources)
-
-    def locks_acquired(self, qual: str) -> "frozenset[str]":
-        """Locks ``qual`` may acquire, transitively (cycle-safe)."""
-        cached = self._locks_cache.get(qual)
-        if cached is not None:
-            return cached
-        acquired: "set[str]" = set()
-        seen: "set[str]" = set()
-        stack = [qual]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            fn = self.functions.get(current)
-            if fn is None:
-                continue
-            acquired.update(lock for lock, _ in fn.lock_withs)
-            stack.extend(
-                callee for callee, _ in self._edges.get(current, [])
-            )
-        result = frozenset(acquired)
-        self._locks_cache[qual] = result
-        return result
 
 
 def build_graph(summaries: "Iterable[ModuleSummary]") -> ProjectGraph:

@@ -2,9 +2,9 @@
 
 The determinism rules (:mod:`repro.lint.rules.determinism`) and the
 whole-program analyzer (:mod:`repro.lint.graph`) must agree on what
-counts as a wall-clock read, an unseeded RNG construction, a fork
-primitive or a lock-like object — otherwise the per-file rule and its
-interprocedural upgrade would drift apart.  This module owns those
+counts as a wall-clock read or an unseeded RNG construction —
+otherwise the per-file rule and its interprocedural upgrade would
+drift apart.  This module owns those
 pattern sets and has no intra-package imports, so it can be imported
 from anywhere in ``repro.lint`` without cycles.
 """
@@ -90,58 +90,3 @@ def classify_wallclock(dotted: str) -> "str | None":
         return f"wall-clock read {dotted}()"
     return None
 
-
-#: final attribute names whose call creates worker *processes* (the
-#: fork side of the fork-after-thread hazard).  ``get_context`` and
-#: ``Pool`` objects funnel through these in this codebase.
-FORK_CALL_ATTRS = frozenset({
-    "ProcessPoolExecutor",
-    "Process",
-    "fork",
-})
-
-#: the sanctioned guard: fork primitives lexically inside a
-#: ``with ...suspend_samplers():`` block are considered safe (the
-#: guard stops live sampler threads across the fork, see
-#: repro.obs.live.suspend_samplers)
-FORK_GUARD_ATTRS = frozenset({"suspend_samplers"})
-
-#: constructor attribute names that start (or will start) a background
-#: thread hazardous to fork with
-SAMPLER_CLASS_ATTRS = frozenset({"ResourceSampler"})
-THREAD_CLASS_ATTRS = frozenset({"Thread"})
-
-#: lock constructors recognised for module-level / instance lock
-#: discovery (``sanitize.make_lock`` returns one of these)
-LOCK_CTOR_ATTRS = frozenset({"Lock", "RLock", "make_lock"})
-
-#: method names that mutate a container in place (RPR403)
-MUTATOR_ATTRS = frozenset({
-    "append", "extend", "insert", "add", "discard", "remove", "pop",
-    "popitem", "popleft", "appendleft", "clear", "update",
-    "setdefault", "sort", "reverse",
-})
-
-
-def is_lock_like(node: ast.expr) -> bool:
-    """Heuristic: does this ``with`` context expression look like a lock?
-
-    Matches plain names/attributes whose final component contains
-    ``lock`` or ``mutex`` (``_lock``, ``self._lock``, ``mod.IO_LOCK``).
-    Call expressions are excluded — ``with tracer.span(...)`` is not a
-    lock region.
-    """
-    leaf: "str | None" = None
-    if isinstance(node, ast.Attribute):
-        leaf = node.attr
-    elif isinstance(node, ast.Name):
-        leaf = node.id
-    if leaf is None:
-        return False
-    lowered = leaf.lower()
-    return "lock" in lowered or "mutex" in lowered
-
-
-def last_component(dotted: str) -> str:
-    """Final path component of a dotted name."""
-    return dotted.rsplit(".", 1)[-1]

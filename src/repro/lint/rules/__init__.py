@@ -1,5 +1,5 @@
 """Rule modules; importing this package registers every rule."""
 
-from . import concurrency, determinism, hygiene, numerics, obs
+from . import determinism, hygiene, numerics, obs
 
-__all__ = ["concurrency", "determinism", "hygiene", "numerics", "obs"]
+__all__ = ["determinism", "hygiene", "numerics", "obs"]

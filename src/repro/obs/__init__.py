@@ -21,36 +21,25 @@ Inside engines::
         emit("eplace.nesterov", i, progress=values, health=hvalues)
 
 :func:`emit` is the one call per record site: it records the
-iteration into the tracer and publishes it on the live bus (see
-:mod:`repro.obs.health`).
+iteration and its health values into the thread's tracer (see
+:mod:`repro.obs.health`).  The trace is the one telemetry channel:
+``place --save-run`` persists it in the run registry
+(:mod:`repro.obs.registry`), and fan-out sites merge worker traces
+into the caller's with :meth:`Tracer.absorb`.
 
 See :mod:`repro.obs.trace` for the zero-overhead-when-disabled design,
 :mod:`repro.obs.export` for the JSONL schema and
 :mod:`repro.obs.metrics` for the always-on registry benchmarks consume.
 """
 
-from . import diagnose, env, export, health, live, log, memory, \
-    metrics, registry, report, trace
-from .diagnose import (
-    DiagnoseParams,
-    Diagnosis,
-    PhaseDiagnosis,
-    StreamDiagnoser,
-    diagnose_events,
-    diagnose_trace,
-)
+from . import diagnose, env, export, health, log, memory, metrics, \
+    registry, report, trace
+from .diagnose import DiagnoseParams, Diagnosis, PhaseDiagnosis, \
+    diagnose_trace
 from .env import fingerprint, utc_timestamp
 from .export import format_profile, read_jsonl, trace_records, \
     write_jsonl
-from .health import HealthSample, emit
-from .live import (
-    CollectingSubscriber,
-    EventBus,
-    PhaseEvent,
-    ProgressEvent,
-    ResourceSample,
-    ResourceSampler,
-)
+from .health import emit
 from .log import configure as configure_logging
 from .log import get_logger
 from .memory import MemoryProfile, phase_peak, profile_memory
@@ -67,31 +56,22 @@ from .trace import (
 )
 
 __all__ = [
-    "CollectingSubscriber",
     "DiagnoseParams",
     "Diagnosis",
-    "EventBus",
-    "HealthSample",
     "IterationRecord",
     "MemoryProfile",
     "MetricsRegistry",
     "NULL_TRACER",
     "PhaseDiagnosis",
-    "PhaseEvent",
-    "ProgressEvent",
     "REGISTRY",
-    "ResourceSample",
-    "ResourceSampler",
     "RunRegistry",
     "RunWriter",
     "SpanRecord",
     "Stopwatch",
-    "StreamDiagnoser",
     "Trace",
     "Tracer",
     "configure_logging",
     "diagnose",
-    "diagnose_events",
     "diagnose_trace",
     "emit",
     "env",
@@ -100,7 +80,6 @@ __all__ = [
     "format_profile",
     "get_logger",
     "health",
-    "live",
     "log",
     "memory",
     "metrics",

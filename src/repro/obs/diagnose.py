@@ -1,10 +1,11 @@
-"""Streaming convergence diagnostics: verdicts over telemetry streams.
+"""Convergence diagnostics: verdicts over recorded convergence series.
 
-The raw telemetry — per-iteration convergence records and health
-samples — says what happened; this module says *what it means*.  Five
+The raw telemetry — per-iteration convergence records and their
+``.health`` companions — says what happened; this module says *what it
+means*.  Five
 detectors run over each instrumented phase's primary metric series:
 
-* **non-finite** — any NaN/Inf in any published value (the earliest
+* **non-finite** — any NaN/Inf in any recorded value (the earliest
   possible warning of a numerically broken run);
 * **diverging** — the metric *rose* across the whole trailing window
   and ended above the running best by more than a tolerance;
@@ -22,10 +23,10 @@ form a :class:`Diagnosis` — attached to every
 :class:`~repro.placement.PlacerResult`, written into run-registry
 manifests, and queryable via ``repro runs doctor``.
 
-Determinism contract: detectors are pure functions of per-source
-metric series, and the cross-process bridge preserves per-source FIFO
-order, so a diagnosis is byte-identical (:meth:`Diagnosis.to_json`)
-across repeats and job counts for the same seeded run.
+Determinism contract: detectors are pure functions of the recorded
+series, which carry no timestamps, so a diagnosis is byte-identical
+(:meth:`Diagnosis.to_json`) across repeats and job counts for the same
+seeded run.
 
 The primary metric is auto-detected per phase from
 :data:`METRIC_KEYS`.  Diagnosis does not compare placement *quality*
@@ -39,9 +40,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from typing import Any
 
-from . import health, live
+from . import health
 from .trace import Trace
 
 #: JSON schema tag written with every serialised diagnosis
@@ -65,7 +66,7 @@ _SEVERITY = {name: rank for rank, name in enumerate(VERDICTS)}
 HEALTHY_VERDICTS = frozenset({"insufficient-data", "converged"})
 
 #: metric keys tried in order when picking a phase's primary series;
-#: all are minimised by the engines that publish them (``overflow``
+#: all are minimised by the engines that record them (``overflow``
 #: deliberately outranks ``value``/``hpwl`` — see the module docstring)
 METRIC_KEYS = ("best_cost", "cost", "overflow", "value", "hpwl")
 
@@ -311,11 +312,11 @@ def _check_step_collapse(
 
 
 # ---------------------------------------------------------------------------
-# per-phase stream state
+# per-phase series state
 
 
 class _PhaseState:
-    """Accumulated series for one ``(source, phase)`` stream."""
+    """Accumulated series for one phase."""
 
     __slots__ = (
         "metric", "iterations", "values", "steps", "health_steps",
@@ -415,59 +416,7 @@ def _diagnose_phase(
 
 
 # ---------------------------------------------------------------------------
-# consumers: live stream, recorded events, post-mortem trace
-
-
-class StreamDiagnoser:
-    """Bus subscriber running the detectors over the merged stream.
-
-    Subscribes like any other live consumer (``bus.subscribe(d)``) and
-    groups :class:`~repro.obs.live.ProgressEvent` /
-    :class:`~repro.obs.health.HealthSample` streams by ``(source,
-    phase)``; :meth:`diagnosis` can be called at any point — mid-run
-    for admission-control style decisions, or after the fan-out for
-    the final verdicts.  Because the bridge preserves per-source FIFO
-    order, the result is identical at any job count.
-    """
-
-    def __init__(self, params: "DiagnoseParams | None" = None) -> None:
-        self.params = params or DiagnoseParams()
-        self._states: "dict[tuple[Any, str], _PhaseState]" = {}
-
-    def _state(self, source: "int | None", phase: str) -> _PhaseState:
-        key = (source, phase)
-        state = self._states.get(key)
-        if state is None:
-            state = self._states[key] = _PhaseState()
-        return state
-
-    def __call__(self, event: Any) -> None:
-        if isinstance(event, live.ProgressEvent):
-            self._state(event.source, event.phase).add_progress(
-                event.iteration, event.values, self.params.metric,
-            )
-        elif isinstance(event, health.HealthSample):
-            self._state(event.source, event.phase).add_health(
-                event.iteration, event.values,
-            )
-
-    def diagnosis(self) -> Diagnosis:
-        """Current verdicts over everything observed so far."""
-        phases: "dict[str, PhaseDiagnosis]" = {}
-        for (source, phase), state in self._states.items():
-            name = phase if source is None else f"{phase}[{source}]"
-            phases[name] = _diagnose_phase(name, state, self.params)
-        return Diagnosis(verdict=_overall(phases), phases=phases)
-
-
-def diagnose_events(
-    events: "Iterable[Any]", params: "DiagnoseParams | None" = None,
-) -> Diagnosis:
-    """Diagnose a recorded event stream (e.g. ``events.jsonl``)."""
-    diagnoser = StreamDiagnoser(params)
-    for event in events:
-        diagnoser(event)
-    return diagnoser.diagnosis()
+# consumers: post-mortem trace, placer results
 
 
 def diagnose_trace(
@@ -476,8 +425,7 @@ def diagnose_trace(
     """Diagnose a post-mortem trace's convergence records.
 
     Health series recorded under ``<phase>.health`` are merged into
-    their base phase (step lengths, NaN scanning), mirroring what the
-    live stream view sees.
+    their base phase (step lengths, NaN scanning).
     """
     params = params or DiagnoseParams()
     states: "dict[str, _PhaseState]" = {}

@@ -34,6 +34,21 @@ _META_COMPUTED = ("type", "spans", "iterations", "dropped_spans",
                   "dropped_records", "epoch_unix")
 
 
+def convergence_series(trace: Trace) -> "dict[str, dict[str, list]]":
+    """Per-phase ``{"iterations": [...], "values": {key: [...]}}``
+    series of ``trace``'s iteration records, in record order — the
+    plot-ready layout of a run directory's ``convergence.json``."""
+    series: "dict[str, dict[str, list]]" = {}
+    for record in trace.convergence:
+        phase = series.setdefault(
+            record.phase, {"iterations": [], "values": {}}
+        )
+        phase["iterations"].append(record.iteration)
+        for key, value in record.values.items():
+            phase["values"].setdefault(key, []).append(value)
+    return series
+
+
 def trace_records(trace: Trace, **meta: object) -> Iterator[dict]:
     """Yield the JSONL record dicts for ``trace``.
 

@@ -10,14 +10,15 @@ re-running anything (``repro runs list|show|compare|gc``).  Layout::
         trace.jsonl        # repro.obs.export span/convergence trace
         metrics.json       # quality metrics + metrics-registry snapshot
         convergence.json   # per-phase iteration series (plot-ready)
-        events.jsonl       # live telemetry events (when a bus was on)
 
 Schema ``repro.run/2`` adds two manifest/metrics keys over ``/1``: the
 convergence ``diagnosis`` (:mod:`repro.obs.diagnose`) computed from
 the recorded trace, and a resource summary (``peak_rss_kib``,
-``mean_cpu``) aggregated from the run's ``ResourceSample`` events.
-Readers never require either key, so ``/1`` directories keep loading,
-listing and comparing unchanged.
+``mean_cpu``) that :meth:`RunWriter.finalize` reads from
+``resource.getrusage``.  Readers never require either key, so ``/1``
+directories keep loading, listing and comparing unchanged.  Older run
+directories may also hold an ``events.jsonl`` event log; nothing reads
+it any more.
 
 ``run_id`` is ``<UTC stamp>-<fp8>`` where ``fp8`` is the first 8 hex
 chars of a sha256 over the run's identity (kind, label, config) — the
@@ -37,19 +38,18 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import resource
 import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
-from .. import sanitize
-from . import live as live_mod
 from .diagnose import diagnose_trace
 from .env import fingerprint, iso_timestamp, utc_timestamp
-from .export import write_jsonl
+from .export import convergence_series, read_jsonl, write_jsonl
 from .log import get_logger
-from .trace import Trace
+from .trace import Stopwatch, Trace
 
 logger = get_logger("obs.registry")
 
@@ -108,6 +108,38 @@ class RunInfo:
         return summary if isinstance(summary, dict) else {}
 
 
+def read_run_trace(path: Path) -> "Trace | None":
+    """The ``trace.jsonl`` of run directory ``path``, or ``None`` when
+    the run recorded none or it does not parse."""
+    trace_path = path / "trace.jsonl"
+    if not trace_path.is_file():
+        return None
+    try:
+        return read_jsonl(trace_path)[1]
+    except (OSError, ValueError, KeyError):
+        return None
+
+
+def _cpu_s() -> float:
+    """CPU seconds of this process plus its reaped children."""
+    total = 0.0
+    for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN):
+        usage = resource.getrusage(who)
+        total += usage.ru_utime + usage.ru_stime
+    return total
+
+
+def _peak_rss_kib() -> float:
+    """Largest resident set of this process or any reaped child, KiB.
+
+    ``ru_maxrss`` is in KiB on Linux; both figures are lifetime peaks.
+    """
+    return float(max(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+    ))
+
+
 class RunWriter:
     """Handle for writing one run directory; produced by
     :meth:`RunRegistry.create`."""
@@ -116,7 +148,8 @@ class RunWriter:
         self.path = path
         self.run_id = path.name
         self._manifest = manifest
-        self._event_sink: "_EventSink | None" = None
+        self._clock = Stopwatch()
+        self._cpu_start = _cpu_s()
 
     # -- artifacts -----------------------------------------------------
     def write_trace(self, trace: Trace, **meta: object) -> int:
@@ -129,17 +162,9 @@ class RunWriter:
         if trace.convergence:
             self._manifest["diagnosis"] = \
                 diagnose_trace(trace).to_dict()
-        series: "dict[str, dict[str, list]]" = {}
-        for record in trace.convergence:
-            phase = series.setdefault(
-                record.phase, {"iterations": [], "values": {}}
-            )
-            phase["iterations"].append(record.iteration)
-            for key, value in record.values.items():
-                phase["values"].setdefault(key, []).append(value)
         _write_json(self.path / "convergence.json", {
             "schema": "repro.run.convergence/1",
-            "phases": series,
+            "phases": convergence_series(trace),
         })
         return count
 
@@ -151,70 +176,30 @@ class RunWriter:
             if isinstance(value, (int, float)):
                 summary[key] = value
 
-    def event_subscriber(self) -> "Callable[[Any], None]":
-        """A bus subscriber persisting live events to ``events.jsonl``.
-
-        Events are buffered in memory and written by
-        :meth:`finalize` (one registry write at the end instead of a
-        file append inside the engine loop).
-        """
-        if self._event_sink is None:
-            self._event_sink = _EventSink()
-        return self._event_sink
-
     # -- lifecycle -----------------------------------------------------
     def finalize(
         self,
         status: str = "complete",
         metrics: "dict[str, Any] | None" = None,
     ) -> Path:
-        """Write the final manifest (and buffered events); returns the
-        run directory."""
-        if self._event_sink is not None:
-            # fold the sampled RSS/CPU figures into the metrics so
-            # ``runs list/show`` surface them without opening events
-            from .report import resource_summary
+        """Write the metrics and the final manifest; returns the run
+        directory.
 
-            resources = resource_summary(self._event_sink.events)
-            if resources:
-                metrics = dict(metrics or {})
-                metrics.update(resources)
-        if metrics:
-            self.write_metrics(metrics)
-        if self._event_sink is not None:
-            self._event_sink.flush(self.path / "events.jsonl")
+        ``metrics`` gains ``peak_rss_kib`` (the largest resident set of
+        this process or any worker it reaped) and ``mean_cpu`` (CPU
+        seconds per wall second since the run was created, workers
+        included), so ``runs list/show`` surface them.
+        """
+        metrics = dict(metrics or {})
+        metrics["peak_rss_kib"] = _peak_rss_kib()
+        elapsed = self._clock.elapsed()
+        if elapsed > 0.0:
+            metrics["mean_cpu"] = (_cpu_s() - self._cpu_start) / elapsed
+        self.write_metrics(metrics)
         self._manifest["status"] = status
         _write_json(self.path / MANIFEST, self._manifest)
         logger.info("run %s finalized (%s)", self.run_id, status)
         return self.path
-
-
-class _EventSink:
-    """Buffering bus subscriber behind
-    :meth:`RunWriter.event_subscriber`.
-
-    Appends arrive from whichever thread publishes on the bus — the
-    engine thread for progress/phase events *and* the sampler thread
-    for resource samples — so the buffer is guarded by a sanitized
-    lock (a plain lock in production, an order-tracked one under
-    ``REPRO_SANITIZE=1``).
-    """
-
-    def __init__(self) -> None:
-        self._lock = sanitize.make_lock("obs.registry._EventSink")
-        self.events: "list[Any]" = []
-
-    def __call__(self, event: Any) -> None:
-        with self._lock:
-            self.events.append(event)
-
-    def flush(self, path: Path) -> None:
-        with open(path, "w") as handle:
-            for event in self.events:
-                handle.write(json.dumps(
-                    live_mod.event_to_record(event), default=float
-                ))
-                handle.write("\n")
 
 
 class RunRegistry:

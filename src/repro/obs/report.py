@@ -12,10 +12,9 @@ Sections, each sourced from one registry artifact:
   (:mod:`repro.obs.diagnose`);
 * metrics — the numeric summary from ``metrics.json``;
 * convergence — per-phase sparklines over every recorded series in
-  ``convergence.json`` (health series included, under their
+  ``trace.jsonl`` (health series included, under their
   ``<phase>.health`` names);
-* phases — the span time table from ``trace.jsonl``;
-* resources — RSS/CPU summary over the ``events.jsonl`` samples.
+* phases — the span time table from ``trace.jsonl``.
 
 Artifacts a run never wrote are skipped, so older ``repro.run/1``
 directories render too.  :func:`sparkline` lives here (shared with the
@@ -30,9 +29,10 @@ import math
 from pathlib import Path
 from typing import Any, Iterator
 
-from . import live
 from .diagnose import Diagnosis
-from .export import read_jsonl
+from .export import convergence_series
+from .registry import read_run_trace
+from .trace import Trace
 
 #: eight-level unicode bars, low to high
 SPARK_CHARS = "▁▂▃▄▅▆▇█"
@@ -87,49 +87,6 @@ def _load_json(path: Path) -> "dict[str, Any] | None":
     except (OSError, json.JSONDecodeError):
         return None
     return doc if isinstance(doc, dict) else None
-
-
-def load_events(path: Path) -> "list[Any]":
-    """Deserialised live events of a run (``[]`` when never recorded)."""
-    if not path.is_file():
-        return []
-    events = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                events.append(
-                    live.event_from_record(json.loads(line))
-                )
-            except (ValueError, TypeError):
-                continue  # forward-compatible: skip unknown kinds
-    return events
-
-
-def resource_summary(events: "list[Any]") -> "dict[str, float]":
-    """Aggregate :class:`~repro.obs.live.ResourceSample` events.
-
-    Returns ``peak_rss_kib`` (max RSS seen), ``mean_cpu`` (CPU seconds
-    per wall second across the sampled window) and
-    ``resource_samples`` — empty when the run recorded no samples.
-    """
-    samples = [e for e in events
-               if isinstance(e, live.ResourceSample)]
-    if not samples:
-        return {}
-    summary: "dict[str, float]" = {
-        "peak_rss_kib": max(s.rss_kib for s in samples),
-        "resource_samples": float(len(samples)),
-    }
-    elapsed = max(s.elapsed_s for s in samples) \
-        - min(s.elapsed_s for s in samples)
-    if elapsed > 0.0:
-        cpu = max(s.cpu_s for s in samples) \
-            - min(s.cpu_s for s in samples)
-        summary["mean_cpu"] = cpu / elapsed
-    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +208,8 @@ def _metrics_section(
     yield _table(["metric", "value"], rows)
 
 
-def _convergence_section(
-    doc: "dict[str, Any] | None",
-) -> Iterator[str]:
-    phases = (doc or {}).get("phases") or {}
+def _convergence_section(trace: "Trace | None") -> Iterator[str]:
+    phases = convergence_series(trace) if trace is not None else {}
     if not phases:
         return
     yield "<h2>Convergence &amp; health</h2>"
@@ -282,12 +237,8 @@ def _convergence_section(
     )
 
 
-def _phase_time_section(trace_path: Path) -> Iterator[str]:
-    if not trace_path.is_file():
-        return
-    try:
-        _, trace = read_jsonl(trace_path)
-    except (OSError, ValueError, KeyError):
+def _phase_time_section(trace: "Trace | None") -> Iterator[str]:
+    if trace is None:
         return
     times = trace.phase_times()
     if not times:
@@ -305,25 +256,6 @@ def _phase_time_section(trace_path: Path) -> Iterator[str]:
     yield _table(["phase", "calls", "total s", "self s"], rows)
 
 
-def _resource_section(events: "list[Any]") -> Iterator[str]:
-    summary = resource_summary(events)
-    if not summary:
-        return
-    yield "<h2>Resources</h2>"
-    rows = [
-        [_esc(key), _esc(_fmt(value))]
-        for key, value in sorted(summary.items())
-    ]
-    samples = [e for e in events
-               if isinstance(e, live.ResourceSample)]
-    rss = sparkline(_subsample([s.rss_kib for s in samples]))
-    if rss:
-        rows.append([
-            "rss trend", f'<span class="spark">{_esc(rss)}</span>',
-        ])
-    yield _table(["resource", "value"], rows)
-
-
 def render_run_html(
     path: "Path | str", manifest: "dict[str, Any] | None" = None,
 ) -> str:
@@ -334,7 +266,6 @@ def render_run_html(
     if "run_id" not in manifest:
         manifest = dict(manifest)
         manifest.setdefault("run_id", path.name)
-    events = load_events(path / "events.jsonl")
     parts: "list[str]" = [
         "<!DOCTYPE html>",
         '<html lang="en"><head><meta charset="utf-8">',
@@ -347,10 +278,8 @@ def render_run_html(
         _metrics_section(_load_json(path / "metrics.json")
                          or manifest.get("metrics"))
     )
-    parts.extend(
-        _convergence_section(_load_json(path / "convergence.json"))
-    )
-    parts.extend(_phase_time_section(path / "trace.jsonl"))
-    parts.extend(_resource_section(events))
+    trace = read_run_trace(path)
+    parts.extend(_convergence_section(trace))
+    parts.extend(_phase_time_section(trace))
     parts.append("</body></html>")
     return "\n".join(parts) + "\n"

@@ -17,7 +17,7 @@ import numpy as np
 from ..eplace import EPlaceGlobalPlacer, EPlaceParams
 from ..gnn import PerformanceModel
 from ..netlist import Circuit
-from ..obs import live, trace
+from ..obs import trace
 from ..placement import PlacerResult
 
 
@@ -67,7 +67,7 @@ class EPlaceAPGlobalPlacer(EPlaceGlobalPlacer):
         value += self._alpha_scaled * phi
         gx = gx + self._alpha_scaled * pgx
         gy = gy + self._alpha_scaled * pgy
-        if trace.active() or live.active():
+        if trace.active():
             # extend the base health terms with the GNN contribution
             hterms = dict(getattr(self, "_health", {}))
             hterms["grad_phi_norm"] = self._alpha_scaled * float(

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..gnn import PerformanceModel
 from ..netlist import Circuit
-from ..obs import live, trace
+from ..obs import trace
 from ..placement import PlacerResult
 from ..xu_ispd19 import XuGlobalPlacer, XuParams
 
@@ -61,7 +61,7 @@ class XuPerfGlobalPlacer(XuGlobalPlacer):
             phi, pgx, pgy = self.perf_model.phi_and_grad(v[:n], v[n:])
             value += self._alpha_scaled * phi
             grad = grad + self._alpha_scaled * np.concatenate([pgx, pgy])
-            if trace.active() or live.active():
+            if trace.active():
                 # GNN-term contribution for the health channel
                 self._health = {
                     "grad_phi_norm": self._alpha_scaled * float(

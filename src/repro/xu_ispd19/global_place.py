@@ -24,7 +24,7 @@ from ..analytic import (
     lse_wirelength,
 )
 from ..netlist import Circuit
-from ..obs import diagnose, emit, live, memory, metrics, trace
+from ..obs import diagnose, emit, memory, metrics, trace
 from ..obs.log import get_logger
 from ..placement import Placement, PlacerResult
 
@@ -175,7 +175,7 @@ class XuGlobalPlacer:
         for stage in range(p.stages):
             fun = self._objective(lam, tau)
             callback = None
-            if tracer.enabled or live.active():
+            if tracer.enabled:
                 base = stage * p.cg_iterations
                 lam_now = lam
 
@@ -204,7 +204,7 @@ class XuGlobalPlacer:
                 )
             v = result.v
             history.append((stage, result.value, lam))
-            if tracer.enabled or live.active():
+            if tracer.enabled:
                 values = dict(
                     value=result.value,
                     grad_norm=result.grad_norm,

@@ -18,7 +18,6 @@ settings.register_profile("ci", derandomize=True)
 settings.register_profile("explore", derandomize=False)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "explore"))
 
-from repro import sanitize
 from repro.annealing import SAParams
 from repro.circuits import adder, cc_ota, comp1, vco1
 from repro.eplace import EPlaceParams
@@ -31,19 +30,6 @@ from repro.netlist import (
     Pin,
     SymmetryGroup,
 )
-
-
-if sanitize.enabled():
-    # CI's sanitize job exports REPRO_SANITIZE=1: register the at-fork
-    # guard once, and isolate the global lock-order graph per test so
-    # one test's lock nesting cannot poison another's
-    sanitize.install()
-
-    @pytest.fixture(autouse=True)
-    def _reset_sanitizer():
-        sanitize.reset_order_graph()
-        yield
-        sanitize.reset_order_graph()
 
 
 @pytest.fixture

@@ -115,7 +115,7 @@ class TestIterateDirections:
 
         calls = []
 
-        def solve(placement, params):
+        def solve(placement, params, incumbent):
             calls.append(placement)
             return answer, {}
 
@@ -177,7 +177,7 @@ class TestRefineDirections:
         calls = []
         pending = list(answers)
 
-        def solve(placement, params, free_keys, time_limit):
+        def solve(placement, params, free_keys, time_limit, incumbent):
             calls.append(placement)
             assert free_keys
             answer = pending.pop(0)

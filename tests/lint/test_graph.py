@@ -26,8 +26,8 @@ def _graph(sources: dict[str, str]):
 
 class TestModuleNames:
     def test_src_prefix_stripped(self):
-        assert module_name_for_rel("src/repro/obs/live.py") == (
-            "repro.obs.live"
+        assert module_name_for_rel("src/repro/obs/trace.py") == (
+            "repro.obs.trace"
         )
 
     def test_package_init(self):
@@ -261,68 +261,3 @@ class TestReachability:
         reach = graph.reach({"repro.c.sink": fn.clock_calls[0]})
         assert not reach.covers("repro.c.sink") is False  # source
         assert "repro.c.sink" in reach.covered
-
-
-class TestLockFacts:
-    def test_nested_with_locks_produce_edges(self):
-        sources = {
-            "repro/m.py": """
-                import threading
-
-                A_LOCK = threading.Lock()
-                B_LOCK = threading.Lock()
-
-                def nested():
-                    with A_LOCK:
-                        with B_LOCK:
-                            return 1
-            """,
-        }
-        summary = _summaries(sources)[0]
-        fn = summary.functions[0]
-        assert ("repro.m.A_LOCK", "repro.m.B_LOCK", 9) in fn.lock_edges
-
-    def test_transitive_lock_acquisition(self):
-        graph = _graph({
-            "repro/a.py": """
-                import threading
-
-                A_LOCK = threading.Lock()
-
-                def outer():
-                    with A_LOCK:
-                        return 1
-            """,
-            "repro/b.py": """
-                from repro import a
-
-                def entry():
-                    return a.outer()
-            """,
-        })
-        assert graph.locks_acquired("repro.b.entry") == frozenset(
-            {"repro.a.A_LOCK"}
-        )
-
-
-class TestForkFacts:
-    def test_guarded_fork_marked(self):
-        sources = {
-            "repro/m.py": """
-                import multiprocessing
-                from concurrent.futures import ProcessPoolExecutor
-                from repro.obs import live
-
-                def guarded(n):
-                    with live.suspend_samplers():
-                        with ProcessPoolExecutor(max_workers=n) as p:
-                            return p
-
-                def bare(n):
-                    return ProcessPoolExecutor(max_workers=n)
-            """,
-        }
-        summary = _summaries(sources)[0]
-        by_name = {fn.name: fn for fn in summary.functions}
-        assert by_name["guarded"].forks[0][2] is True
-        assert by_name["bare"].forks[0][2] is False

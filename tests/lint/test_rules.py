@@ -28,7 +28,6 @@ class TestRegistry:
             "RPR101", "RPR102",
             "RPR201", "RPR202",
             "RPR301",
-            "RPR401", "RPR402", "RPR403", "RPR404",
         }
 
     def test_rules_have_metadata(self):

@@ -7,9 +7,11 @@ import re
 
 import pytest
 
+from repro.annealing import SAParams
+from repro.api import place
+from repro.circuits import make
 from repro.cli import main, resolve_circuit
-from repro.obs import live
-from repro.obs.report import load_events
+from repro.obs import read_jsonl, tracing
 
 
 def test_circuit_alias_normalisation():
@@ -70,7 +72,7 @@ def test_place_seeds_fan_out(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_RUNS_DIR", str(runs))
     rc = main([
         "place", "comp1", "--method", "annealing",
-        "--sa-iterations", "400", "--seeds", "1,2", "--jobs", "2",
+        "--sa-iterations", "400", "--seeds", "1,2,3", "--jobs", "2",
         "--save-run",
     ])
     assert rc == 0
@@ -78,7 +80,7 @@ def test_place_seeds_fan_out(tmp_path, monkeypatch, capsys):
     rows = {int(m.group(1)): float(m.group(2)) for m in (
         re.match(r"seed\s+(\d+): hpwl (\S+)", line) for line in lines
     ) if m}
-    assert sorted(rows) == [1, 2]
+    assert sorted(rows) == [1, 2, 3]
     (hpwl,) = [line.split()[2] for line in lines
                if line.startswith("hpwl     :")]
     assert float(hpwl) == min(rows.values())
@@ -86,16 +88,16 @@ def test_place_seeds_fan_out(tmp_path, monkeypatch, capsys):
     config = json.loads((run_dir / "manifest.json").read_text())["config"]
     assert set(config) == {"circuit", "method", "seed", "seeds", "jobs",
                            "sa_iterations"}
-    assert config["seeds"] == [1, 2]
-    # both seeds streamed through the worker bridge into the registry
-    events = load_events(run_dir / "events.jsonl")
-    for source in (0, 1):
-        mine = [e for e in events if getattr(e, "source", None) == source]
-        markers = [(e.phase, e.status) for e in mine
-                   if isinstance(e, live.PhaseEvent)
-                   and e.phase == "task"]
-        assert markers == [("task", "start"), ("task", "end")]
-        assert any(isinstance(e, live.ProgressEvent) for e in mine)
+    assert config["seeds"] == [1, 2, 3]
+    # the run's trace holds every seed's records, in seed order
+    _, saved = read_jsonl(run_dir / "trace.jsonl")
+    expected = []
+    for seed in (1, 2, 3):
+        with tracing():
+            result = place(make("Comp1"), "annealing",
+                           params=SAParams(iterations=400, seed=seed))
+        expected.extend(result.trace.convergence)
+    assert saved.convergence == expected
 
 
 def test_place_rejects_removed_racing_flag():

@@ -6,44 +6,52 @@ import json
 
 from repro.annealing import SAParams
 from repro.api import place_multiseed
-from repro.obs import health, live
-from repro.obs.diagnose import DiagnoseParams, Diagnosis, \
-    StreamDiagnoser, diagnose_events, diagnose_trace
+from repro.obs import health
+from repro.obs.diagnose import DiagnoseParams, Diagnosis, diagnose_trace
 from repro.obs.export import read_jsonl, write_jsonl
 from repro import obs
 
 
 def _progress_series(values, phase="p", key="cost", step=None):
-    events = []
+    """``(phase, iteration, values)`` records of one metric series."""
+    records = []
     for i, v in enumerate(values):
         payload = {key: v}
         if step is not None:
             payload["step_length"] = step[i]
-        events.append(live.ProgressEvent(phase, i, payload, None))
-    return events
+        records.append((phase, i, payload))
+    return records
+
+
+def _diagnose(records, params=None):
+    """Diagnose ``(phase, iteration, values)`` records via a trace."""
+    tracer = obs.Tracer(enabled=True)
+    for phase, iteration, values in records:
+        tracer.record(phase, iteration, **values)
+    return diagnose_trace(tracer.to_trace(), params)
 
 
 class TestDetectors:
     def test_empty_stream_is_insufficient_data(self):
-        d = diagnose_events([])
+        d = _diagnose([])
         assert d.verdict == "insufficient-data"
         assert d.phases == {}
         assert d.healthy
 
     def test_single_iteration_is_insufficient_data(self):
-        d = diagnose_events(_progress_series([10.0]))
+        d = _diagnose(_progress_series([10.0]))
         assert d.phases["p"].verdict == "insufficient-data"
         assert d.verdict == "insufficient-data"
         assert d.healthy
 
     def test_decreasing_series_converges(self):
         values = [100.0 / (i + 1) for i in range(30)]
-        d = diagnose_events(_progress_series(values))
+        d = _diagnose(_progress_series(values))
         assert d.phases["p"].verdict == "converged"
         assert d.healthy
 
     def test_constant_series_stalls(self):
-        d = diagnose_events(_progress_series([5.0] * 6))
+        d = _diagnose(_progress_series([5.0] * 6))
         phase = d.phases["p"]
         assert phase.verdict == "stalled"
         assert phase.checks["stalled"]
@@ -53,12 +61,12 @@ class TestDetectors:
     def test_constant_below_stall_points_is_insufficient_signal(self):
         # 5 points: enough for a verdict (min_points=3) but below the
         # stall threshold of 6 — a short flat prefix is not a stall
-        d = diagnose_events(_progress_series([5.0] * 5))
+        d = _diagnose(_progress_series([5.0] * 5))
         assert d.phases["p"].verdict == "converged"
 
     def test_rising_series_diverges(self):
         values = [10.0 + i * 2.0 for i in range(20)]
-        d = diagnose_events(_progress_series(values))
+        d = _diagnose(_progress_series(values))
         phase = d.phases["p"]
         assert phase.verdict == "diverging"
         assert phase.evidence["diverging"]["window_rise"] > 0
@@ -67,11 +75,11 @@ class TestDetectors:
     def test_fall_then_sustained_rise_diverges(self):
         values = [100.0 - 10.0 * i for i in range(10)]
         values += [values[-1] + 8.0 * i for i in range(1, 13)]
-        d = diagnose_events(_progress_series(values))
+        d = _diagnose(_progress_series(values))
         assert d.phases["p"].verdict == "diverging"
 
     def test_nan_first_iteration_is_nonfinite(self):
-        d = diagnose_events(_progress_series([float("nan")]))
+        d = _diagnose(_progress_series([float("nan")]))
         phase = d.phases["p"]
         assert phase.verdict == "non-finite"
         assert phase.checks["non-finite"]
@@ -79,24 +87,21 @@ class TestDetectors:
         assert d.verdict == "non-finite"
 
     def test_nan_in_secondary_key_is_nonfinite(self):
-        events = [
-            live.ProgressEvent(
-                "p", i, {"cost": 1.0 / (i + 1), "grad_norm": g}, None,
-            )
+        records = [
+            ("p", i, {"cost": 1.0 / (i + 1), "grad_norm": g})
             for i, g in enumerate([1.0, float("inf"), 1.0, 1.0])
         ]
-        d = diagnose_events(events)
+        d = _diagnose(records)
         phase = d.phases["p"]
         assert phase.verdict == "non-finite"
         assert phase.evidence["non-finite"]["key"] == "grad_norm"
 
     def test_nan_in_health_values_is_nonfinite(self):
-        events = _progress_series([3.0, 2.0, 1.0, 0.5])
-        events.append(
-            health.HealthSample("p", 2, {"residual": float("nan")},
-                                None)
+        records = _progress_series([3.0, 2.0, 1.0, 0.5])
+        records.append(
+            ("p" + health.HEALTH_SUFFIX, 2, {"residual": float("nan")})
         )
-        d = diagnose_events(events)
+        d = _diagnose(records)
         assert d.phases["p"].verdict == "non-finite"
 
     def test_oscillating_tail_detected(self):
@@ -105,7 +110,7 @@ class TestDetectors:
         values = [10.0, 9.0, 8.0]
         for i in range(14):
             values.append(8.0 + (3.0 if i % 2 == 0 else 0.0))
-        d = diagnose_events(_progress_series(values))
+        d = _diagnose(_progress_series(values))
         phase = d.phases["p"]
         assert phase.verdict == "oscillating"
         assert phase.evidence["oscillating"]["flip_fraction"] >= 0.75
@@ -114,7 +119,7 @@ class TestDetectors:
         n = 12
         values = [10.0 - 0.5 * i for i in range(n)]
         steps = [1.0] * 4 + [1e-15] * (n - 4)
-        d = diagnose_events(
+        d = _diagnose(
             _progress_series(values, step=steps)
         )
         phase = d.phases["p"]
@@ -122,40 +127,35 @@ class TestDetectors:
         assert phase.evidence["step-collapse"]["peak_step"] == 1.0
 
     def test_health_steps_preferred_over_progress_steps(self):
-        events = _progress_series([10.0 - 0.5 * i for i in range(12)])
+        records = _progress_series([10.0 - 0.5 * i for i in range(12)])
         for i in range(12):
-            events.append(health.HealthSample(
-                "p", i, {"step_length": 1.0 if i < 4 else 1e-15},
-                None,
+            records.append((
+                "p" + health.HEALTH_SUFFIX, i,
+                {"step_length": 1.0 if i < 4 else 1e-15},
             ))
-        d = diagnose_events(events)
+        d = _diagnose(records)
         assert d.phases["p"].verdict == "step-collapse"
 
     def test_metric_preference_overflow_over_value(self):
         # ePlace publishes both; overflow is the convergence criterion
-        events = [
-            live.ProgressEvent(
-                "eplace.nesterov", i,
-                {"value": 10.0 + i, "overflow": 1.0 / (i + 1.0),
-                 "hpwl": 50.0 + i},
-                None,
-            )
+        records = [
+            ("eplace.nesterov", i,
+             {"value": 10.0 + i, "overflow": 1.0 / (i + 1.0),
+              "hpwl": 50.0 + i})
             for i in range(20)
         ]
-        d = diagnose_events(events)
+        d = _diagnose(records)
         phase = d.phases["eplace.nesterov"]
         assert phase.metric == "overflow"
         assert phase.verdict == "converged"
 
     def test_explicit_metric_override(self):
-        events = [
-            live.ProgressEvent(
-                "p", i, {"cost": 1.0, "aux": 10.0 + i}, None,
-            )
+        records = [
+            ("p", i, {"cost": 1.0, "aux": 10.0 + i})
             for i in range(20)
         ]
-        d = diagnose_events(
-            events, DiagnoseParams(metric="aux")
+        d = _diagnose(
+            records, DiagnoseParams(metric="aux")
         )
         assert d.phases["p"].metric == "aux"
         assert d.phases["p"].verdict == "diverging"
@@ -164,18 +164,18 @@ class TestDetectors:
 class TestSerialization:
     def test_roundtrip_through_dict(self):
         values = [10.0 + i for i in range(20)]
-        d = diagnose_events(_progress_series(values))
+        d = _diagnose(_progress_series(values))
         back = Diagnosis.from_dict(d.to_dict())
         assert back.to_json() == d.to_json()
         assert back.verdict == "diverging"
 
     def test_to_json_is_canonical(self):
-        d = diagnose_events(_progress_series([3.0, 2.0, 1.0]))
+        d = _diagnose(_progress_series([3.0, 2.0, 1.0]))
         assert d.to_json() == d.to_json()
         assert "\n" not in d.to_json()
 
     def test_from_dict_tolerates_unknown_keys(self):
-        doc = diagnose_events(
+        doc = _diagnose(
             _progress_series([3.0, 2.0, 1.0])
         ).to_dict()
         doc["future_field"] = {"x": 1}
@@ -196,12 +196,6 @@ class TestTraceDiagnosis:
                 )
         return tracer.to_trace()
 
-    def test_trace_and_events_agree(self):
-        values = [100.0 / (i + 1) for i in range(30)]
-        from_trace = diagnose_trace(self._trace(values))
-        from_events = diagnose_events(_progress_series(values))
-        assert from_trace.to_json() == from_events.to_json()
-
     def test_health_phase_merges_into_base(self):
         values = [10.0 - 0.5 * i for i in range(12)]
         steps = [1.0] * 4 + [1e-15] * 8
@@ -221,37 +215,35 @@ class TestTraceDiagnosis:
 
 class TestDeterminism:
     def test_repeat_byte_identity(self, comp1_circuit):
+        from repro.annealing import anneal_place
+
         outs = []
         for _ in range(2):
-            sub = StreamDiagnoser()
-            bus = live.EventBus()
-            bus.subscribe(sub)
-            from repro.annealing import anneal_place
-            with live.session(bus):
-                anneal_place(
+            with obs.tracing():
+                result = anneal_place(
                     comp1_circuit, SAParams(iterations=600, seed=3)
                 )
-            outs.append(sub.diagnosis().to_json())
+            outs.append(result.diagnosis.to_json())
         assert outs[0] == outs[1]
 
     def test_jobs_1_vs_4_byte_identity(self, comp1_circuit):
         outs = []
         for jobs in (1, 4):
-            sub = StreamDiagnoser()
-            bus = live.EventBus()
-            bus.subscribe(sub)
-            with live.session(bus):
-                place_multiseed(
+            with obs.tracing() as tracer:
+                results = place_multiseed(
                     comp1_circuit, "annealing", seeds=(1, 2, 3),
                     jobs=jobs,
                     params=SAParams(iterations=400),
                 )
-            outs.append(sub.diagnosis().to_json())
+            outs.append((
+                [r.diagnosis.to_json() for r in results],
+                diagnose_trace(tracer.to_trace()).to_json(),
+            ))
         assert outs[0] == outs[1]
-        # multi-source phases are named per seed
-        doc = Diagnosis.from_dict(json.loads(outs[0]))
-        assert {"sa.stage[0]", "sa.stage[1]", "sa.stage[2]"} <= \
-            set(doc.phases)
+        # every seed's run was diagnosed from its own records
+        for doc in outs[0][0]:
+            assert "sa.stage" in Diagnosis.from_dict(
+                json.loads(doc)).phases
 
 
 class TestAttach:

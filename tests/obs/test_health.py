@@ -1,18 +1,19 @@
-"""All five engines publish HealthSample events on the live bus.
+"""All five engines record health values next to their progress.
 
-Mirror of ``test_engine_live.py`` for the typed health channel: each
-engine streams solver internals (gradient norms, line-search activity,
-acceptance rates) alongside its progress events, and the samples
-serialise through the ``events.jsonl`` record codec.
+Each engine emits solver internals (gradient norms, line-search
+activity, acceptance rates) under ``<phase>.health`` in the trace,
+one record per progress record.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.annealing import SAParams, anneal_place
-from repro.eplace import EPlaceParams, eplace_global
-from repro.obs import emit, health, live, tracing
+from repro.annealing import anneal_place
+from repro.eplace import eplace_global
+from repro.obs import emit, health, tracing
 from repro.perf_driven.eplace_ap import EPlaceAPGlobalPlacer
 from repro.perf_driven.perf_xu import XuPerfGlobalPlacer
 from repro.xu_ispd19 import XuParams, xu_global
@@ -34,13 +35,14 @@ class _StubModel:
 
 
 def _health_of(fn):
-    sub = live.CollectingSubscriber()
-    bus = live.EventBus()
-    bus.subscribe(sub)
-    with live.session(bus):
+    """Run ``fn`` traced; its health records under their base phase."""
+    with tracing() as tracer:
         result = fn()
-    samples = [e for e in sub.events
-               if isinstance(e, health.HealthSample)]
+    samples = [
+        replace(r, phase=health.base_phase(r.phase))
+        for r in tracer.to_trace().convergence
+        if health.is_health_phase(r.phase)
+    ]
     return result, samples
 
 
@@ -118,17 +120,6 @@ def test_perf_xu_health_adds_gnn_term(comp1_circuit):
     assert cg[-1].values["grad_phi_norm"] > 0.0
 
 
-def test_health_sample_record_roundtrip():
-    sample = health.HealthSample(
-        "eplace.nesterov", 7, {"grad_norm": 1.5}, source=2
-    )
-    record = live.event_to_record(sample)
-    assert record["event"] == "health"
-    back = live.event_from_record(record)
-    assert isinstance(back, health.HealthSample)
-    assert back == sample
-
-
 def test_traced_runs_record_health_phases(comp1_circuit,
                                           fast_sa_params):
     with tracing():
@@ -150,24 +141,16 @@ def test_base_phase_helpers():
 
 
 class TestEmit:
-    """``emit`` is the one record-site call: trace then bus."""
+    """``emit`` is the one record-site call: progress, then health."""
 
-    def test_records_both_phases_then_publishes_in_order(self):
-        sub = live.CollectingSubscriber()
-        bus = live.EventBus(source=3)
-        bus.subscribe(sub)
-        with tracing() as tracer, live.session(bus):
+    def test_records_progress_then_health(self):
+        with tracing() as tracer:
             emit("p", 2.0, progress={"value": 1.5},
                  health={"grad_norm": 0.5})
         convergence = tracer.to_trace().convergence
         assert [(r.phase, r.iteration, r.values) for r in convergence] \
             == [("p", 2, {"value": 1.5}),
                 ("p" + health.HEALTH_SUFFIX, 2, {"grad_norm": 0.5})]
-        assert [type(e) for e in sub.events] == [
-            live.ProgressEvent, health.HealthSample]
-        assert [(e.phase, e.iteration, e.values, e.source)
-                for e in sub.events] == [
-            ("p", 2, {"value": 1.5}, 3), ("p", 2, {"grad_norm": 0.5}, 3)]
 
     def test_disabled_tracer_constructs_no_records(self, monkeypatch):
         from repro.obs import trace
@@ -181,7 +164,7 @@ class TestEmit:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(trace, "IterationRecord", Counting)
-        with live.session(), tracing(enabled=False):
+        with tracing(enabled=False):
             emit("p", 0, progress={"value": 1.0},
                  health={"grad_norm": 0.5})
         assert constructed == []

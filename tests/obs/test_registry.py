@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import json
+import resource
+import shutil
+import threading
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.obs import live, trace
+from repro.obs import trace
 from repro.obs.registry import (
     DEFAULT_ROOT,
     RegistryError,
     RunRegistry,
 )
-from repro.obs.report import load_events
 
 
 @pytest.fixture
@@ -34,23 +37,17 @@ class TestRegistryCore:
         assert doc["config"] == {"seed": 3}
         assert doc["run_id"] == writer.run_id
 
-    def test_finalize_flushes_metrics_and_events(self, registry):
+    def test_finalize_flushes_metrics(self, registry):
         writer = registry.create("place", "x")
-        bus = live.EventBus()
-        bus.subscribe(writer.event_subscriber())
-        bus.publish(live.ProgressEvent("p", 1, {"hpwl": 2.0}, 0))
-        bus.publish(live.PhaseEvent("task", "end", source=1))
         writer.finalize(metrics={"hpwl": 2.0, "note": "text"})
         (run,) = registry.list_runs()
         assert run.status == "complete"
         # only numeric metrics summarise into the manifest
-        assert run.metrics == {"hpwl": 2.0}
-        lines = (writer.path / "events.jsonl").read_text().splitlines()
-        events = [live.event_from_record(json.loads(line))
-                  for line in lines]
-        assert isinstance(events[0], live.ProgressEvent)
-        assert isinstance(events[1], live.PhaseEvent)
-        assert events[0].values == {"hpwl": 2.0}
+        assert run.metrics["hpwl"] == 2.0
+        assert "note" not in run.metrics
+        doc = json.loads((writer.path / "metrics.json").read_text())
+        assert doc["note"] == "text"
+        assert not (writer.path / "events.jsonl").exists()
 
     def test_write_trace_emits_convergence_series(self, registry):
         with trace.tracing() as tracer:
@@ -126,16 +123,13 @@ class TestRegistryCore:
 
     def test_finalize_merges_resource_summary(self, registry):
         writer = registry.create("place", "x")
-        bus = live.EventBus()
-        bus.subscribe(writer.event_subscriber())
-        bus.publish(live.ResourceSample(0.0, 1000.0, 0.0))
-        bus.publish(live.ResourceSample(1.0, 4096.0, 0.5))
         writer.finalize(metrics={"hpwl": 2.0})
         (run,) = registry.list_runs()
         assert run.metrics["hpwl"] == 2.0
-        assert run.metrics["peak_rss_kib"] == 4096.0
-        assert run.metrics["resource_samples"] == 2.0
-        assert run.metrics["mean_cpu"] == pytest.approx(0.5)
+        # getrusage: a lifetime peak of this process, in KiB
+        own_peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert run.metrics["peak_rss_kib"] >= own_peak > 0
+        assert run.metrics["mean_cpu"] >= 0.0
 
     def test_v1_manifest_still_loads(self, registry):
         """``repro.run/1`` directories (no diagnosis/resource keys)
@@ -159,8 +153,9 @@ class TestRegistryCore:
 
 
 class TestLegacyRaceEvents:
-    """Run directories written by older versions may hold
-    ``{"event": "race", ...}`` lines; they must stay readable."""
+    """Run directories written by older versions may hold an
+    ``events.jsonl`` with ``{"event": "race", ...}`` lines; nothing
+    reads it, and the inspection commands still work."""
 
     @pytest.fixture
     def legacy_run(self, registry):
@@ -172,33 +167,80 @@ class TestLegacyRaceEvents:
             {"event": "race", "action": "kill", "seed": 2, "task": 1,
              "iteration": 3, "value": 2.0, "best": 1.0,
              "landed": True, "source": None},
-            {"event": "progress", "phase": "sa.stage", "iteration": 1,
-             "values": {"best_cost": 1.5}, "source": 0},
         ]
         (writer.path / "events.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in records)
         )
-        # no stored verdicts: doctor must recompute from events.jsonl
+        # no stored verdicts and no trace: nothing to diagnose from
         manifest_path = writer.path / "manifest.json"
         doc = json.loads(manifest_path.read_text())
         doc.pop("diagnosis", None)
         manifest_path.write_text(json.dumps(doc))
         return writer.path
 
-    def test_load_events_skips_race_records(self, legacy_run):
-        events = load_events(legacy_run / "events.jsonl")
-        assert events == [
-            live.ProgressEvent("sa.stage", 0, {"best_cost": 2.0}, 0),
-            live.ProgressEvent("sa.stage", 1, {"best_cost": 1.5}, 0),
-        ]
-
     def test_show_and_doctor_exit_normally(self, registry, legacy_run,
                                            capsys):
         root = str(registry.root)
         assert main(["runs", "--root", root, "show", "latest"]) == 0
-        assert "events   : 3" in capsys.readouterr().out
+        assert "file     : events.jsonl" in capsys.readouterr().out
         assert main(["runs", "--root", root, "doctor", "latest"]) == 0
-        assert "verdict  :" in capsys.readouterr().out
+        assert "insufficient-data" in capsys.readouterr().out
+
+
+#: a committed ``repro.run/1`` run directory from before the trace was
+#: the one telemetry channel: its ``events.jsonl`` holds resource
+#: samples and a ``race`` line
+OLD_RUNS = Path(__file__).parent / "data" / "runs_v1"
+
+
+class TestRunLayouts:
+    """The inspection commands work on an old-layout run and on a
+    fresh ``place --save-run`` run alike."""
+
+    @pytest.fixture
+    def runs(self, tmp_path, monkeypatch, capsys):
+        """(root, old run id, fresh run id) under a temp registry."""
+        root = tmp_path / "runs"
+        shutil.copytree(OLD_RUNS, root)
+        (old,) = [p.name for p in root.iterdir()]
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(root))
+        assert main([
+            "place", "comp1", "--method", "annealing",
+            "--sa-iterations", "800", "--seed", "1", "--save-run",
+        ]) == 0
+        (fresh,) = [p.name for p in root.iterdir() if p.name != old]
+        capsys.readouterr()
+        return root, old, fresh
+
+    def test_show_doctor_report_compare(self, runs, capsys):
+        root, old, fresh = runs
+        assert (root / old / "events.jsonl").is_file()
+        assert not (root / fresh / "events.jsonl").exists()
+        for run in (old, fresh):
+            assert main(["runs", "show", run]) == 0
+            assert "sa.stage" in capsys.readouterr().out
+            assert main(["runs", "doctor", run]) == 0
+            assert "verdict  : converged" in capsys.readouterr().out
+            out = root / f"{run}.html"
+            assert main(["runs", "report", run, "--out", str(out)]) == 0
+            assert "sa.stage" in out.read_text()
+        assert main(["runs", "compare", old, fresh, "--health"]) == 0
+        compared = capsys.readouterr().out
+        assert "hpwl" in compared and "peak_rss_kib" in compared
+        assert "sa.stage" in compared
+
+    def test_save_run_starts_no_thread(self, tmp_path, monkeypatch,
+                                       capsys):
+        def refuse(self):
+            raise AssertionError(f"thread {self.name!r} started")
+
+        monkeypatch.setenv("REPRO_RUNS_DIR", str(tmp_path))
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        assert main([
+            "place", "comp1", "--method", "annealing",
+            "--sa-iterations", "400", "--save-run",
+        ]) == 0
+        assert "run      :" in capsys.readouterr().out
 
 
 class TestRunsCli:
@@ -221,8 +263,8 @@ class TestRunsCli:
         assert len(runs) == 2
         for run in runs:
             names = {p.name for p in run.iterdir()}
-            assert {"manifest.json", "trace.jsonl", "metrics.json",
-                    "convergence.json", "events.jsonl"} <= names
+            assert names == {"manifest.json", "trace.jsonl",
+                             "metrics.json", "convergence.json"}
 
     def test_list_show_compare_gc(self, recorded, capsys):
         capsys.readouterr()
@@ -235,7 +277,7 @@ class TestRunsCli:
         shown = capsys.readouterr().out
         assert "status   : complete" in shown
         assert "sa.stage" in shown
-        assert "events.jsonl" in shown
+        assert "peak_rss_kib" in shown
 
         base = sorted(p.name for p in recorded.iterdir())[0]
         assert main(["runs", "compare", base, "latest"]) == 0

@@ -8,16 +8,14 @@ tracer.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from repro.annealing import SAParams
-from repro.api import place, place_multiseed
+from repro.api import place_multiseed
 from repro.circuits import make
 from repro.eplace import EPlaceParams
-from repro.obs import live, tracing
+from repro.obs import tracing
 from repro.parallel import normalize_jobs, parallel_map
 
 #: tiny SA budget: quality is irrelevant here, only determinism
@@ -110,40 +108,6 @@ class TestPlaceMultiseed:
         assert merged.timers["sa.cost"]["calls"] >= 2 * 400
         roots = [s for s in merged.spans if s.name == "sa.place"]
         assert len(roots) == 2
-
-    def test_live_session_matches_plain_fan_out(self):
-        circuit = make("Adder")
-        seeds = (1, 2, 3)
-        runs = {}
-        for jobs in (1, 3):
-            runs["plain", jobs] = place_multiseed(
-                circuit, "annealing", seeds=seeds, jobs=jobs,
-                params=_FAST_SA,
-            )
-            sink = live.CollectingSubscriber()
-            bus = live.EventBus()
-            bus.subscribe(sink)
-            with live.session(bus):
-                runs["live", jobs] = place_multiseed(
-                    circuit, "annealing", seeds=seeds, jobs=jobs,
-                    params=_FAST_SA,
-                )
-            sources = {e.source for e in sink.events
-                       if isinstance(e, live.ProgressEvent)}
-            assert sources == {0, 1, 2}
-        # seed order: slot i is the run of seeds[i]
-        expected = [
-            place(circuit, "annealing",
-                  params=replace(_FAST_SA, seed=seed))
-            for seed in seeds
-        ]
-        for results in runs.values():
-            assert type(results) is list
-            assert len(results) == len(seeds)
-            assert all(r is not None for r in results)
-            for got, want in zip(results, expected):
-                assert np.array_equal(got.placement.x, want.placement.x)
-                assert np.array_equal(got.placement.y, want.placement.y)
 
     def test_untraced_by_default(self):
         circuit = make("Adder")
