@@ -18,16 +18,11 @@ Rule families (ids are stable; see ``--list-rules`` for summaries):
 * ``RPR2xx`` observability contract — engine entry points without a
   span (RPR201), ``print`` in library code (RPR202);
 * ``RPR3xx`` API hygiene — public ``repro.api``/``repro.placement``
-  callables missing type hints or docstrings (RPR301);
-* ``RPR004``/``RPR005`` interprocedural determinism taint — public
-  entry points *transitively* reaching a wall-clock read / unseeded
-  RNG through the whole-program call graph (the direct call sites are
-  RPR001/RPR002's job; these print the full call chain).
+  callables missing type hints or docstrings (RPR301).
 
-The whole-program rules are built on :mod:`repro.lint.graph` — a
-cross-module symbol table and call graph with conservative fallback
-binding for dynamic calls.  See ``docs/STATIC_ANALYSIS.md`` for the
-full design.
+Every rule checks one module at a time; a wall-clock read or an
+unseeded RNG is flagged where it is made, whichever function calls
+it.  See ``docs/STATIC_ANALYSIS.md`` for the rule table.
 
 Suppress a finding inline with ``# repro-lint: disable=RPR101`` (one
 line) or ``# repro-lint: disable-file=RPR301`` (whole file); every
@@ -39,7 +34,6 @@ from . import rules  # noqa: F401  (importing registers every rule)
 from .core import (
     REGISTRY,
     Finding,
-    GraphRule,
     LintConfig,
     ModuleInfo,
     Rule,
@@ -47,13 +41,11 @@ from .core import (
     lint_module,
     lint_paths,
     lint_source,
-    lint_sources,
     register,
 )
 
 __all__ = [
     "Finding",
-    "GraphRule",
     "LintConfig",
     "ModuleInfo",
     "REGISTRY",
@@ -62,7 +54,6 @@ __all__ = [
     "lint_module",
     "lint_paths",
     "lint_source",
-    "lint_sources",
     "register",
     "rules",
 ]

@@ -5,15 +5,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
-from pathlib import Path
 from typing import Sequence
 
-from .cache import DEFAULT_CACHE_PATH, LintCache
 from .core import REGISTRY, Finding, all_rules, lint_paths
 
-#: schema identifier for ``--format json`` and baseline files
-_JSON_SCHEMA = "repro.lint.findings/1"
+#: schema identifier for ``--format json``
+_JSON_SCHEMA = "repro.lint.findings/2"
 
 
 def _parse_ids(values: Sequence[str]) -> frozenset[str]:
@@ -32,54 +29,6 @@ def _parse_ids(values: Sequence[str]) -> frozenset[str]:
     return frozenset(ids)
 
 
-def _baseline_key(finding: Finding) -> tuple[str, str, str]:
-    """Identity used to match findings against a baseline.
-
-    Line/column are deliberately excluded — unrelated edits move
-    findings around; a baseline entry means "this rule firing at this
-    path with this message is known", wherever it currently sits.
-    """
-    return (finding.rule, finding.path, finding.message)
-
-
-def _load_baseline(path: str) -> Counter:
-    """Multiset of baseline keys from a ``--write-baseline`` file."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read baseline {path}: {exc}") from exc
-    items = raw.get("findings") if isinstance(raw, dict) else None
-    if not isinstance(items, list):
-        raise SystemExit(
-            f"baseline {path} is not a repro.lint findings document"
-        )
-    keys: Counter = Counter()
-    for item in items:
-        try:
-            finding = Finding.from_dict(item)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SystemExit(
-                f"baseline {path} has a malformed entry: {exc}"
-            ) from exc
-        keys[_baseline_key(finding)] += 1
-    return keys
-
-
-def _apply_baseline(
-    findings: list[Finding], baseline: Counter
-) -> list[Finding]:
-    """Findings not covered by the baseline multiset (the *new* ones)."""
-    budget = Counter(baseline)
-    fresh: list[Finding] = []
-    for finding in findings:
-        key = _baseline_key(finding)
-        if budget[key] > 0:
-            budget[key] -= 1
-        else:
-            fresh.append(finding)
-    return fresh
-
-
 def _findings_document(
     findings: list[Finding], errors: list[str]
 ) -> dict:
@@ -96,8 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Project-specific static analysis: determinism, numerical "
-            "safety, observability contract, API hygiene and "
-            "whole-program determinism-taint rules."
+            "safety, observability contract and API hygiene rules."
         ),
     )
     parser.add_argument(
@@ -124,28 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text",
         help="output format (json emits the stable finding schema)",
     )
-    parser.add_argument(
-        "--baseline", metavar="FILE",
-        help=(
-            "JSON findings document of known findings; only findings "
-            "NOT in it are reported and fail the run"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE",
-        help="write the current findings as a baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--cache", metavar="FILE", default=DEFAULT_CACHE_PATH,
-        help=(
-            "incremental cache file keyed by content sha256 "
-            f"(default: {DEFAULT_CACHE_PATH})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="force a cold run: neither read nor write the cache",
-    )
     return parser
 
 
@@ -164,28 +90,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     select = _parse_ids(args.select)
     ignore = _parse_ids(args.ignore)
-    cache = None if args.no_cache else LintCache(args.cache)
-    findings, errors = lint_paths(args.paths, select, ignore, cache)
-
-    if args.write_baseline:
-        Path(args.write_baseline).write_text(
-            json.dumps(_findings_document(findings, []), indent=2)
-            + "\n",
-            encoding="utf-8",
-        )
-        if not args.quiet:
-            sys.stdout.write(
-                f"repro.lint: wrote baseline with {len(findings)} "
-                f"finding(s) to {args.write_baseline}\n"
-            )
-        return 0
-
-    suppressed = 0
-    if args.baseline:
-        baseline = _load_baseline(args.baseline)
-        fresh = _apply_baseline(findings, baseline)
-        suppressed = len(findings) - len(fresh)
-        findings = fresh
+    findings, errors = lint_paths(args.paths, select, ignore)
 
     for error in errors:
         sys.stderr.write(f"error: {error}\n")
@@ -197,15 +102,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             sys.stdout.write(finding.format() + "\n")
         if not args.quiet:
             noun = "finding" if len(findings) == 1 else "findings"
-            extra = (
-                f", {suppressed} baselined" if args.baseline else ""
-            )
-            cached = (
-                f", cache {cache.hits}/{cache.hits + cache.misses} hits"
-                if cache is not None else ""
-            )
             sys.stdout.write(
                 f"repro.lint: {len(findings)} {noun} "
-                f"({len(errors)} file errors{extra}{cached})\n"
+                f"({len(errors)} file errors)\n"
             )
     return 1 if findings or errors else 0

@@ -24,13 +24,9 @@ from __future__ import annotations
 
 import ast
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .cache import LintCache
-    from .graph import ModuleSummary, ProjectGraph
+from typing import Any, Iterable, Iterator
 
 #: matches one suppression comment; group 1 = "disable"/"disable-file",
 #: group 2 = comma-separated rule ids or "all"
@@ -44,55 +40,30 @@ ALL_RULES = "*"
 
 @dataclass(frozen=True, order=True)
 class Finding:
-    """One rule violation at ``path:line:col``.
-
-    Whole-program rules attach the offending call ``chain`` (entry
-    point down to the direct violation) so an interprocedural finding
-    is actionable without re-running the analysis by hand.
-    """
+    """One rule violation at ``path:line:col``."""
 
     path: str
     line: int
     col: int
     rule: str
     message: str
-    chain: tuple[str, ...] = field(default=())
 
     def format(self) -> str:
-        """Render as the canonical ``path:line:col: RULE message`` line.
-
-        Chain steps, when present, follow on indented continuation
-        lines so terminal output stays greppable by the head line.
-        """
-        head = (
+        """Render as the canonical ``path:line:col: RULE message`` line."""
+        return (
             f"{self.path}:{self.line}:{self.col}: "
             f"{self.rule} {self.message}"
         )
-        if self.chain:
-            head += "".join(f"\n    {step}" for step in self.chain)
-        return head
 
     def to_dict(self) -> dict[str, Any]:
-        """Stable JSON schema used by ``--format json`` and baselines."""
+        """Stable JSON schema used by ``--format json``."""
         return {
             "rule": self.rule,
             "path": self.path,
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "chain": list(self.chain),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> Finding:
-        return cls(
-            path=data["path"],
-            line=int(data["line"]),
-            col=int(data["col"]),
-            rule=data["rule"],
-            message=data["message"],
-            chain=tuple(data.get("chain", ())),
-        )
 
 
 def _parse_suppressions(
@@ -305,50 +276,6 @@ class Rule:
         )
 
 
-class GraphRule(Rule):
-    """Base class for whole-program rules.
-
-    Graph rules never run per module; :meth:`check_graph` receives the
-    bound :class:`repro.lint.graph.ProjectGraph` once per lint run and
-    yields findings anchored at concrete file locations.  Path scoping
-    still applies, but at finding granularity — implementations call
-    :meth:`applies_rel` on the relevant function's ``rel`` before
-    flagging, so fixture trees and out-of-scope modules stay quiet.
-    """
-
-    def applies(self, module: ModuleInfo) -> bool:
-        return False
-
-    def check(self, module: ModuleInfo) -> Iterable[Finding]:
-        return ()
-
-    def applies_rel(self, rel: str) -> bool:
-        """Scope test against a summary's scoped path."""
-        if any(fragment in rel for fragment in self.excludes):
-            return False
-        return any(fragment in rel for fragment in self.scopes)
-
-    def check_graph(self, graph: ProjectGraph) -> Iterable[Finding]:
-        raise NotImplementedError
-
-    def graph_finding(
-        self,
-        fn: Any,
-        line: int,
-        message: str,
-        chain: Iterable[str] = (),
-    ) -> Finding:
-        """Finding anchored at ``fn``'s file (a FunctionSummary)."""
-        return Finding(
-            path=fn.path,
-            line=line,
-            col=1,
-            rule=self.id,
-            message=message,
-            chain=tuple(chain),
-        )
-
-
 #: rule id -> rule instance, in registration order
 REGISTRY: dict[str, Rule] = {}
 
@@ -396,90 +323,19 @@ def lint_module(module: ModuleInfo, rules: Iterable[Rule]) -> list[Finding]:
     return findings
 
 
-def _run_graph_rules(
-    summaries: list[ModuleSummary],
-    rules: Iterable[Rule],
-) -> list[Finding]:
-    """Build the project graph and run every :class:`GraphRule`.
-
-    Graph findings honour the same suppression comments as per-module
-    findings — the suppression tables travel inside the summaries, so
-    cached (never re-parsed) files can still silence a finding.
-    """
-    graph_rules = [r for r in rules if isinstance(r, GraphRule)]
-    if not graph_rules or not summaries:
-        return []
-    from .graph import build_graph
-
-    project = build_graph(summaries)
-    by_path = {s.path: s for s in summaries}
-    findings: list[Finding] = []
-    for rule in graph_rules:
-        for finding in rule.check_graph(project):
-            summary = by_path.get(finding.path)
-            if summary is not None and summary.suppressed(
-                finding.rule, finding.line
-            ):
-                continue
-            findings.append(finding)
-    return findings
-
-
-def lint_sources(
-    sources: dict[str, str],
-    select: Iterable[str] = (),
-    ignore: Iterable[str] = (),
-) -> list[Finding]:
-    """Lint a set of in-memory modules as one mini-project.
-
-    ``sources`` maps scoped paths (``"repro/pkg/mod.py"``) to source
-    text.  Both per-module and whole-program rules run, which makes
-    this the fixture entry point for cross-module rules: a fixture can
-    define a helper in one "file" and the tainted entry point in
-    another.
-    """
-    from .graph import extract_module
-
-    config = LintConfig(frozenset(select), frozenset(ignore))
-    rules = config.active()
-    findings: list[Finding] = []
-    summaries: list[ModuleSummary] = []
-    for rel in sorted(sources):
-        module = ModuleInfo(rel, sources[rel], rel=rel)
-        findings.extend(lint_module(module, rules))
-        summaries.append(extract_module(module))
-    findings.extend(_run_graph_rules(summaries, rules))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
-
-
 def lint_source(
     source: str,
     rel: str,
     select: Iterable[str] = (),
     ignore: Iterable[str] = (),
-    path: str | None = None,
 ) -> list[Finding]:
     """Lint an in-memory source string as if it lived at ``rel``.
 
     This is the test-fixture entry point: ``rel`` decides which rule
-    scopes match (e.g. ``"repro/eplace/fake.py"``).  Whole-program
-    rules see a one-module project; use :func:`lint_sources` for
-    cross-module fixtures.
+    scopes match (e.g. ``"repro/eplace/fake.py"``).
     """
-    if path is not None and path != rel:
-        from .graph import extract_module
-
-        config = LintConfig(frozenset(select), frozenset(ignore))
-        rules = config.active()
-        module = ModuleInfo(path, source, rel=rel)
-        findings = lint_module(module, rules)
-        findings.extend(
-            _run_graph_rules([extract_module(module)], rules)
-        )
-        findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-        return findings
-    return lint_sources({rel: source}, select, ignore)
+    config = LintConfig(frozenset(select), frozenset(ignore))
+    return lint_module(ModuleInfo(rel, source, rel=rel), config.active())
 
 
 def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
@@ -504,60 +360,24 @@ def lint_paths(
     paths: Iterable[str | Path],
     select: Iterable[str] = (),
     ignore: Iterable[str] = (),
-    cache: LintCache | None = None,
 ) -> tuple[list[Finding], list[str]]:
     """Lint every Python file under ``paths``.
 
     Returns ``(findings, errors)`` where ``errors`` are human-readable
     parse failures (a syntax error is reported, not raised, so one bad
     file cannot hide findings in the rest).
-
-    When ``cache`` is given, unchanged files (by content sha256) skip
-    parsing and per-module rules entirely: their cached findings and
-    module summary are reused.  Whole-program rules always re-run —
-    over the mix of fresh and cached summaries — because a change in
-    one file can create a cross-module finding in another.  Cached
-    findings cover *all* registered per-module rules; the
-    ``select``/``ignore`` filter is applied after retrieval so one
-    cache serves every rule selection.
     """
-    from .graph import extract_module
-
-    config = LintConfig(frozenset(select), frozenset(ignore))
-    rules = config.active()
-    active_ids = {rule.id for rule in rules}
-    module_rules = [
-        r for r in all_rules() if not isinstance(r, GraphRule)
-    ]
+    rules = LintConfig(frozenset(select), frozenset(ignore)).active()
     findings: list[Finding] = []
     errors: list[str] = []
-    summaries: list[ModuleSummary] = []
     for path in iter_python_files(paths):
-        key = str(path)
         try:
-            source = path.read_text(encoding="utf-8")
-        except (OSError, ValueError) as exc:
+            module = ModuleInfo(
+                str(path), path.read_text(encoding="utf-8")
+            )
+        except (OSError, SyntaxError, ValueError) as exc:
             errors.append(f"{path}: {exc}")
             continue
-        cached = cache.lookup(key, source) if cache is not None else None
-        if cached is not None:
-            file_findings, summary = cached
-        else:
-            try:
-                module = ModuleInfo(key, source)
-            except (SyntaxError, ValueError) as exc:
-                errors.append(f"{path}: {exc}")
-                continue
-            file_findings = lint_module(module, module_rules)
-            summary = extract_module(module)
-            if cache is not None:
-                cache.store(key, source, file_findings, summary)
-        findings.extend(
-            f for f in file_findings if f.rule in active_ids
-        )
-        summaries.append(summary)
-    findings.extend(_run_graph_rules(summaries, rules))
+        findings.extend(lint_module(module, rules))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    if cache is not None:
-        cache.save()
     return findings, errors

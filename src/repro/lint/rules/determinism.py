@@ -11,20 +11,39 @@ processes for str keys under hash randomisation).
 from __future__ import annotations
 
 import ast
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
-from ..core import (
-    Finding,
-    GraphRule,
-    ModuleInfo,
-    Rule,
-    assignment_map,
-    register,
-)
-from ..patterns import WALLCLOCK, classify_rng_call
+from ..core import Finding, ModuleInfo, Rule, assignment_map, register
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..graph import ProjectGraph, Reach
+#: wall-clock reads that make runs time-dependent
+WALLCLOCK = frozenset({
+    "time.time",
+    "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.process_time",
+    "time.process_time_ns",
+    "datetime.datetime.now",
+    "datetime.datetime.utcnow",
+    "datetime.date.today",
+})
+
+#: legacy numpy global-state RNG entry points (never allowed)
+NUMPY_GLOBAL_RNG = frozenset({
+    "seed", "rand", "randn", "randint", "random", "random_sample",
+    "ranf", "sample", "choice", "shuffle", "permutation", "uniform",
+    "normal", "standard_normal", "exponential", "poisson", "beta",
+    "binomial", "bytes", "get_state", "set_state",
+})
+
+#: stdlib ``random`` module-level functions (global-state RNG)
+STDLIB_GLOBAL_RNG = frozenset({
+    "seed", "random", "randint", "randrange", "choice", "choices",
+    "shuffle", "sample", "uniform", "gauss", "normalvariate",
+    "betavariate", "expovariate", "triangular", "getrandbits",
+})
 
 
 @register
@@ -54,19 +73,44 @@ class WallClockRule(Rule):
                 )
 
 
-def _is_rng_call(module: ModuleInfo, node: ast.Call) -> str | None:
-    """Classify an RNG-related call; returns the violation text or None.
+def _rng_violation(dotted: str, node: ast.Call) -> str | None:
+    """Violation text for a globally-stateful/unseeded RNG call, or None.
 
-    Module-level seeded constructions are handled by the caller — this
-    helper only flags *globally stateful or unseeded* constructs.  The
-    pattern sets live in :mod:`repro.lint.patterns`, shared with the
-    whole-program analyzer so the per-file rule and its
-    interprocedural upgrade (RPR005) agree on what counts.
+    ``dotted`` is the resolved name of the call target.  Module-level
+    seeded constructions are handled by the caller — this helper only
+    flags *globally stateful or unseeded* constructs.
     """
-    dotted = module.call_name(node)
-    if dotted is None:
-        return None
-    return classify_rng_call(dotted, node)
+    parts = dotted.split(".")
+    if dotted.startswith("numpy.random."):
+        leaf = parts[-1]
+        if leaf in NUMPY_GLOBAL_RNG:
+            return (
+                f"global numpy RNG {dotted}(); use a seeded "
+                "np.random.default_rng(seed) passed down explicitly"
+            )
+        if leaf == "default_rng" and not node.args and not node.keywords:
+            return (
+                "np.random.default_rng() without a seed is "
+                "OS-entropy-seeded; pass an explicit seed"
+            )
+        if leaf in {"Generator", "RandomState"} and not node.args:
+            return (
+                f"{dotted}() without an explicit seed source; "
+                "construct from a seeded SeedSequence/BitGenerator"
+            )
+    elif parts[0] == "random" and len(parts) == 2:
+        leaf = parts[1]
+        if leaf in STDLIB_GLOBAL_RNG:
+            return (
+                f"global stdlib RNG {dotted}(); use "
+                "random.Random(seed) or np.random.default_rng(seed)"
+            )
+        if leaf in {"Random", "SystemRandom"} and not node.args:
+            return (
+                f"{dotted}() without a seed argument is "
+                "entropy-seeded and non-reproducible"
+            )
+    return None
 
 
 @register
@@ -85,12 +129,12 @@ class UnseededRngRule(Rule):
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            message = _is_rng_call(module, node)
-            if message is not None:
-                yield self.finding(module, node, message)
-                continue
             dotted = module.call_name(node)
             if dotted is None:
+                continue
+            message = _rng_violation(dotted, node)
+            if message is not None:
+                yield self.finding(module, node, message)
                 continue
             rng_ctor = (
                 dotted in {"numpy.random.default_rng", "random.Random"}
@@ -201,98 +245,3 @@ class SetIterationRule(Rule):
                         module, node, node.args[0],
                         assignments_for(node),
                     )
-
-
-class _TaintRule(GraphRule):
-    """Shared machinery for interprocedural determinism taint.
-
-    A *source* is any function whose body directly contains the
-    violating call (as recorded by the graph extractor); the rule then
-    flags the **nearest public ancestor** of each source: a public
-    function that transitively reaches the source through private
-    helpers only.  Public functions further up the call chain are not
-    flagged again (their chain passes through an already-flagged
-    public function), and sources themselves are left to the per-file
-    rule (RPR001/RPR002), which already reports the direct call.
-    """
-
-    #: FunctionSummary field holding (violation text, lineno) facts
-    fact_field: str = ""
-    #: human description used in the finding message
-    taint_kind: str = ""
-
-    def _sources(
-        self, graph: ProjectGraph
-    ) -> dict[str, tuple[str, int]]:
-        sources: dict[str, tuple[str, int]] = {}
-        for qual in sorted(graph.functions):
-            fn = graph.functions[qual]
-            facts = getattr(fn, self.fact_field)
-            if facts:
-                sources[qual] = (facts[0][0], facts[0][1])
-        return sources
-
-    def _nearest_public(
-        self, graph: ProjectGraph, reach: Reach, qual: str
-    ) -> bool:
-        """True when no *other* public function sits on the chain."""
-        for hop in reach.path(qual)[1:]:
-            fn = graph.functions.get(hop)
-            if fn is not None and fn.public:
-                return False
-        return True
-
-    def check_graph(self, graph: ProjectGraph) -> Iterator[Finding]:
-        sources = self._sources(graph)
-        if not sources:
-            return
-        reach = graph.reach(sources)
-        for qual in sorted(graph.functions):
-            fn = graph.functions[qual]
-            if not fn.public or not self.applies_rel(fn.rel):
-                continue
-            if qual in sources:
-                continue  # direct call: the per-file rule reports it
-            if not reach.covers(qual):
-                continue
-            if not self._nearest_public(graph, reach, qual):
-                continue
-            fact, _ = sources[reach.path(qual)[-1]]
-            yield self.graph_finding(
-                fn, fn.lineno,
-                f"public entry point {fn.qual} transitively reaches "
-                f"{self.taint_kind} ({fact}); call chain:",
-                chain=reach.chain(qual),
-            )
-
-
-@register
-class WallClockTaintRule(_TaintRule):
-    """RPR004: no call chain from a public entry to a wall clock."""
-
-    id = "RPR004"
-    name = "wallclock-taint"
-    summary = (
-        "public functions must not transitively reach wall-clock "
-        "reads outside repro.obs, even through private helpers in "
-        "other modules"
-    )
-    scopes = ("repro/",)
-    excludes = ("repro/obs/",)
-    fact_field = "clock_calls"
-    taint_kind = "a wall-clock read outside repro.obs"
-
-
-@register
-class RngTaintRule(_TaintRule):
-    """RPR005: no call chain from a public entry to unseeded RNG."""
-
-    id = "RPR005"
-    name = "unseeded-rng-taint"
-    summary = (
-        "public functions must not transitively reach global or "
-        "unseeded RNG constructions, even through private helpers"
-    )
-    scopes = ("repro/",)
-    fact_field = "rng_calls"
-    taint_kind = "global/unseeded RNG"

@@ -189,12 +189,9 @@ def place_perf_sa(
         circuit, dc_replace(effective, perf_weight=0.0))
     if _score(baseline.placement, perf_model, 0.15) < _score(
             result.placement, perf_model, 0.15):
-        result = PlacerResult(
-            placement=baseline.placement,
-            runtime_s=0.0,
-            method="perf-sa",
-            stats=dict(baseline.stats, fallback="conventional"),
-        )
+        # the baseline's result keeps its trace and diagnosis
+        result = dc_replace(
+            baseline, stats=dict(baseline.stats, fallback="conventional"))
     result.runtime_s = clock.elapsed()
     result.method = "perf-sa"
     return result

@@ -88,18 +88,16 @@ class TestCli:
 
 class TestJsonFormat:
     def test_json_document_schema(self, bad_tree, capsys):
-        assert main(
-            [str(bad_tree), "--format", "json", "--no-cache"]
-        ) == 1
+        assert main([str(bad_tree), "--format", "json"]) == 1
         doc = json.loads(capsys.readouterr().out)
-        assert doc["schema"] == "repro.lint.findings/1"
+        assert doc["schema"] == "repro.lint.findings/2"
         assert doc["errors"] == []
         assert {f["rule"] for f in doc["findings"]} == {
             "RPR001", "RPR202"
         }
         for finding in doc["findings"]:
             assert set(finding) == {
-                "rule", "path", "line", "col", "message", "chain"
+                "rule", "path", "line", "col", "message"
             }
             assert finding["path"].endswith("fake.py")
             assert isinstance(finding["line"], int)
@@ -108,52 +106,9 @@ class TestJsonFormat:
         pkg = tmp_path / "repro"
         pkg.mkdir()
         (pkg / "ok.py").write_text("def _f(x):\n    return x\n")
-        assert main(
-            [str(tmp_path), "--format", "json", "--no-cache"]
-        ) == 0
+        assert main([str(tmp_path), "--format", "json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["findings"] == [] and doc["errors"] == []
-
-
-class TestBaseline:
-    def test_baseline_blocks_only_new_findings(
-        self, bad_tree, tmp_path, capsys
-    ):
-        baseline = tmp_path / "baseline.json"
-        assert main(
-            [str(bad_tree), "--write-baseline", str(baseline),
-             "--no-cache"]
-        ) == 0
-        assert baseline.exists()
-
-        # unchanged tree: every finding is baselined, run passes
-        assert main(
-            [str(bad_tree), "--baseline", str(baseline), "--no-cache"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "0 findings" in out
-        assert "2 baselined" in out
-
-        # introduce a NEW violation: only it is reported
-        target = bad_tree / "repro" / "eplace" / "fake.py"
-        target.write_text(
-            target.read_text() + "\n\ndef loud():\n    print('x')\n"
-        )
-        assert main(
-            [str(bad_tree), "--baseline", str(baseline), "--no-cache"]
-        ) == 1
-        out = capsys.readouterr().out
-        assert "RPR202" in out
-        assert "1 finding " in out
-
-    def test_malformed_baseline_rejected(self, bad_tree, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text('{"findings": "nope"}')
-        with pytest.raises(SystemExit, match="findings document"):
-            main(
-                [str(bad_tree), "--baseline", str(baseline),
-                 "--no-cache"]
-            )
 
 
 class TestSuppression:

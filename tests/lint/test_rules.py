@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import textwrap
 
+import pytest
+
 from repro.lint.core import REGISTRY, lint_source
 
 
@@ -24,7 +26,7 @@ def _rule_ids(findings: list) -> set[str]:
 class TestRegistry:
     def test_expected_rules_registered(self):
         assert set(REGISTRY) == {
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
+            "RPR001", "RPR002", "RPR003",
             "RPR101", "RPR102",
             "RPR201", "RPR202",
             "RPR301",
@@ -73,6 +75,55 @@ class TestWallClockRPR001:
 
     def test_obs_package_is_excluded(self):
         assert not _lint(self.BAD, "repro/obs/fake.py", "RPR001")
+
+
+class TestPlantedReads:
+    """A nondeterministic read hidden in a private helper.
+
+    The helper is reached from a public function of a legalize module;
+    the per-module rules flag the read itself, so no caller of the
+    helper can launder it.
+    """
+
+    CLOCK = """
+        import time
+
+        def separation_constraints(placement):
+            return _stamp(placement)
+
+        def _stamp(placement):
+            return time.time(), placement
+    """
+
+    RNG = """
+        import random
+
+        def separation_constraints(placement):
+            return _jitter(placement)
+
+        def _jitter(placement):
+            return random.random(), placement
+    """
+
+    def test_clock_read_in_private_helper(self):
+        findings = lint_source(
+            textwrap.dedent(self.CLOCK), "repro/legalize/pairs.py")
+        assert [(f.rule, f.line) for f in findings] == [("RPR001", 8)]
+        assert "time.time" in findings[0].message
+
+    def test_rng_call_in_private_helper(self):
+        findings = lint_source(
+            textwrap.dedent(self.RNG), "repro/legalize/pairs.py")
+        assert [(f.rule, f.line) for f in findings] == [("RPR002", 8)]
+        assert "random.random" in findings[0].message
+
+    def test_planted_read_respects_line_suppression(self):
+        src = self.CLOCK.replace(
+            "time.time(), placement",
+            "time.time(), placement  # repro-lint: disable=RPR001",
+        )
+        assert lint_source(
+            textwrap.dedent(src), "repro/legalize/pairs.py") == []
 
 
 class TestUnseededRngRPR002:
@@ -368,3 +419,43 @@ class TestApiHygieneRPR301:
                 return x
         """
         assert not _lint(src, "repro/api.py", "RPR301")
+
+
+#: one failing fixture per registered rule: ``(scoped path, source)``
+FAILING_FIXTURES = {
+    "RPR001": ("repro/legalize/pairs.py", TestPlantedReads.CLOCK),
+    "RPR002": ("repro/legalize/pairs.py", TestPlantedReads.RNG),
+    "RPR003": ("repro/netlist/fake.py", """
+        def walk(names):
+            return list(set(names))
+    """),
+    "RPR101": ("repro/analytic/fake.py", """
+        import numpy as np
+
+        def kernel(x, gamma):
+            return np.exp(x / gamma)
+    """),
+    "RPR102": ("repro/analytic/fake.py", """
+        def grad(a, w):
+            return a / w.sum()
+    """),
+    "RPR201": ("repro/eplace/fake.py", TestSpanContractRPR201.BAD),
+    "RPR202": ("repro/legalize/fake.py", """
+        def solve(model):
+            print("status", model)
+            return model
+    """),
+    "RPR301": ("repro/api.py", """
+        def place(circuit, method="eplace-a"):
+            return circuit
+    """),
+}
+
+
+@pytest.mark.parametrize("rule_id", sorted(REGISTRY))
+def test_rule_has_failing_fixture(rule_id):
+    """Every registered rule fires, alone, on its failing fixture."""
+    assert rule_id in FAILING_FIXTURES, f"{rule_id} has no fixture"
+    rel, source = FAILING_FIXTURES[rule_id]
+    findings = lint_source(textwrap.dedent(source), rel)
+    assert _rule_ids(findings) == {rule_id}

@@ -89,6 +89,33 @@ class TestPerfSA:
         assert audit_constraints(result.placement).ok
         assert result.method == "perf-sa"
 
+    def test_fallback_returns_baseline_trace(self, quick_model,
+                                             monkeypatch):
+        """A guard fallback hands back the conventional run's result."""
+        from repro import obs
+        from repro.circuits import cc_ota
+        from repro.perf_driven import refine
+
+        scored = []
+
+        def baseline_wins(placement, model, quality_weight):
+            # the guard scores the baseline first: it always wins
+            scored.append(placement)
+            return float(len(scored))
+
+        monkeypatch.setattr(refine, "_score", baseline_wins)
+        with obs.tracing():
+            result = place_perf_sa(
+                cc_ota(), quick_model,
+                SAParams(iterations=600, seed=2, perf_weight=1.0))
+        assert result.method == "perf-sa"
+        assert result.stats["fallback"] == "conventional"
+        assert result.trace.convergence_by_phase("sa.stage")
+        assert result.diagnosis is not None
+        for attr in ("x", "y", "flip_x", "flip_y"):
+            assert getattr(result.placement, attr).tobytes() == \
+                getattr(scored[0], attr).tobytes()
+
     def test_requires_positive_perf_weight(self, quick_model):
         from repro.circuits import cc_ota
 
